@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     QuandleKitError,
 )
-from .search import SearchSpec, save_search_result, search_by_profile
+from .search import SearchSpec, save_search_result, search_by_profile, search_manifest
 from .shq import check_profile_admissible, classify_shq, verify_main_theorem
 from .structure import enumerate_subquandles, is_connected, is_latin, profile
 
@@ -169,14 +169,7 @@ def cmd_search(args) -> int:
     if args.out:
         manifest = save_search_result(result, args.out)
     else:
-        manifest = {
-            "schema": "quandlekit.search/1",
-            "profile": list(spec.lengths),
-            "order": spec.order,
-            "count": len(result.quandles),
-            "iso_classes": [list(c) for c in result.iso_classes],
-            "stats": result.stats.as_dict(),
-        }
+        manifest = search_manifest(result)
     if args.json:
         _emit_json(manifest, None)
         return 0

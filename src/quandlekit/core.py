@@ -6,7 +6,8 @@ table is a quandle when every i * i = i, every column is a bijection, and
 (i * j) * k = (i * k) * (j * k) holds for all triples.
 
 The .qdl text format: optional '#' comment lines, then the order n on its own
-line, then n rows of n whitespace-separated integers.  The writer emits the
+line, then n rows of n whitespace-separated integers, all ASCII decimal
+(an optional leading '-', then digits 0-9).  The writer emits the
 canonical form (no comments unless asked, single spaces, trailing newline), so
 parse(format(q)) round-trips bit-exactly.
 """
@@ -27,10 +28,6 @@ from .errors import (
     ParamOutOfRange,
     ParseError,
 )
-
-# Above this order the distributivity scan switches to a vectorized kernel.
-_NUMPY_CUTOVER = 32
-
 
 @dataclass(frozen=True, order=True)
 class CycleStructure:
@@ -228,48 +225,54 @@ def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
         for j, v in enumerate(row, start=1):
             if not isinstance(v, int) or not 1 <= v <= n:
                 return ValidationResult(False, "EntryOutOfRange", (i, j))
-    t = [[v - 1 for v in row] for row in rows]
-    for i in range(n):
-        if t[i][i] != i:
-            return ValidationResult(False, "IdempotencyViolation", (i + 1,))
-    for j in range(n):
-        if sorted(row[j] for row in t) != list(range(n)):
-            return ValidationResult(False, "RightInvertibilityViolation", (j + 1,))
-    if n <= _NUMPY_CUTOVER:
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                tij = t[ti[j]]
-                tj = t[j]
-                for k in range(n):
-                    if tij[k] != t[ti[k]][tj[k]]:
-                        return ValidationResult(
-                            False, "DistributivityViolation", (i + 1, j + 1, k + 1)
-                        )
-    else:
-        bad = _first_mismatch_np(np.array(t, dtype=np.int32))
-        if bad is not None:
-            i, j, k = bad
-            return ValidationResult(
-                False, "DistributivityViolation", (i + 1, j + 1, k + 1)
-            )
+    t = np.array(rows, dtype=np.int32) - 1
+    labels = np.arange(n)
+    bad = np.flatnonzero(t.diagonal() != labels)
+    if bad.size:
+        return ValidationResult(False, "IdempotencyViolation", (int(bad[0]) + 1,))
+    bad = np.flatnonzero((np.sort(t, axis=0) != labels[:, None]).any(axis=0))
+    if bad.size:
+        return ValidationResult(False, "RightInvertibilityViolation", (int(bad[0]) + 1,))
+    first = _first_mismatch_np(t)
+    if first is not None:
+        i, j, k = first
+        return ValidationResult(False, "DistributivityViolation", (i + 1, j + 1, k + 1))
     return ValidationResult(True, None, (), n)
 
 
 class QuandleTable:
-    """Immutable validated operation table with 1-based labels."""
+    """Immutable validated operation table with 1-based labels.
 
-    __slots__ = ("n", "rows")
+    `array` holds the same table 0-based, as a read-only int32 numpy array
+    built once; the closure, enumeration and relabelling kernels read it.
+    """
 
-    def __init__(self, rows: Sequence[Sequence[int]], *, validate: bool = True):
-        # validate=False is for internal use and tests that need a broken table.
+    __slots__ = ("n", "rows", "array")
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
         tup = tuple(tuple(row) for row in rows)
-        if validate:
-            result = validate_quandle(tup)
-            if not result.ok:
-                raise InvalidQuandleError(result)
-        object.__setattr__(self, "n", len(tup))
-        object.__setattr__(self, "rows", tup)
+        result = validate_quandle(tup)
+        if not result.ok:
+            raise InvalidQuandleError(result)
+        self._fill(tup, np.array(tup, dtype=np.int32) - 1)
+
+    def _fill(self, rows: tuple, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "array", array)
+
+    @classmethod
+    def _from_array(cls, array: np.ndarray) -> "QuandleTable":
+        """Wrap a 0-based table that is a quandle by construction, unchecked.
+
+        Right translations of a quandle are automorphisms, so its relabellings
+        and the subtables of its closed subsets are quandles too.
+        """
+        array = np.array(array, dtype=np.int32)
+        self = object.__new__(cls)
+        self._fill(tuple(map(tuple, (array + 1).tolist())), array)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QuandleTable is immutable")
@@ -339,8 +342,24 @@ def from_translations(perms: Sequence[Permutation]) -> QuandleTable:
     return QuandleTable.from_rows(rows)
 
 
+def _decimal_ints(text: str) -> list[int]:
+    """The whitespace-separated integers of text, each of the form -?[0-9]+.
+
+    Raises ValueError on anything else.  int() alone also takes '+3', '0_3'
+    and non-ASCII digits; on ASCII text without '+' or '_' it takes exactly
+    the decimal form.
+    """
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"not ASCII decimal: {text!r}")
+    return [int(tok) for tok in text.split()]
+
+
 def parse_qdl(text: str) -> QuandleTable:
-    """Parse .qdl text; raises ParseError (with line number) on format errors."""
+    """Parse .qdl text; raises ParseError (with line number) on format errors.
+
+    Integers are ASCII decimal, optionally negative: no '+', no '_', no
+    other digit scripts.
+    """
     data: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -354,7 +373,7 @@ def parse_qdl(text: str) -> QuandleTable:
     if len(tokens) != 1:
         raise ParseError(f"expected a single order, found {head!r}", lineno)
     try:
-        n = int(tokens[0])
+        (n,) = _decimal_ints(tokens[0])
     except ValueError:
         raise ParseError(f"invalid order {tokens[0]!r}", lineno) from None
     if n < 1:
@@ -371,7 +390,7 @@ def parse_qdl(text: str) -> QuandleTable:
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
         try:
-            rows.append([int(tok) for tok in tokens])
+            rows.append(_decimal_ints(line))
         except ValueError:
             raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
     return QuandleTable.from_rows(rows)

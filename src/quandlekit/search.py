@@ -19,15 +19,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial, lcm
 from pathlib import Path
 
+import numpy as np
+
 from .core import QuandleTable, format_qdl
 from .errors import ParamOutOfRange, RepeatedLengthsUnsupported, SizeLimitExceeded
 from .limits import DEFAULT_SEARCH_CAP, resolve_cap
+from .shq import _block_bounds, _canonical_r1, _label_block_lengths
 from .structure import are_isomorphic, is_connected, profile
 
 # Candidate generators are materialized per block; past this count the
@@ -112,16 +116,6 @@ def _conj(s, s_inv, x):
     return tuple(s[x[s_inv[j]]] for j in range(len(x)))
 
 
-def _canonical_r1(lengths) -> tuple[int, ...]:
-    img = []
-    start = 0
-    for length in lengths:
-        img.extend(range(start + 1, start + length))
-        img.append(start)
-        start += length
-    return tuple(img)
-
-
 def _candidate_count(n: int, lengths) -> int:
     """Number of image tuples _cycle_candidates would produce, closed form."""
     remaining = n - 1
@@ -166,12 +160,7 @@ class _Searcher:
         self.lengths = lengths
         self.c = len(lengths)
         self.n = sum(lengths)
-        ns = []
-        total = 0
-        for x in lengths:
-            total += x
-            ns.append(total)
-        self.ns = tuple(ns)
+        self.ns = _block_bounds(lengths)
         self.r1 = _canonical_r1(lengths)
         self.r1_inv = _inverse(self.r1)
         top = max(lengths)
@@ -180,11 +169,7 @@ class _Searcher:
             pows.append(_compose(self.r1, pows[-1]))
         self.r1_pows = pows
         self.r1_pows_inv = [_inverse(p) for p in pows]
-        self.block_len = [0] * self.n
-        for i in range(1, self.c + 1):
-            lo = 0 if i == 1 else self.ns[i - 2]
-            for x in range(lo, self.ns[i - 1]):
-                self.block_len[x] = lengths[i - 1]
+        self.block_len = _label_block_lengths(lengths)
         self.raw_counts: list[int] = []
         self.unary_counts: list[int] = []
         self.filtered: list[list[tuple]] = []  # per level: (placements,)
@@ -327,6 +312,18 @@ def _worker(args):
     return found, counters
 
 
+def _pool_size(workers: int, top: int) -> int:
+    """Processes for a search whose top level has `top` candidates.
+
+    1 means the search runs in this process: it does unless every one of the
+    requested workers gets at least two top-level candidates.  The pool never
+    exceeds the CPU count.
+    """
+    if top < 2 * workers:
+        return 1
+    return min(workers, os.cpu_count() or 1)
+
+
 def search_by_profile(
     spec: SearchSpec,
     max_order: int | None = None,
@@ -350,20 +347,22 @@ def search_by_profile(
     totals = {"nodes": 0, "conj": 0, "dist": 0, "conn": 0}
     rows_found: list = []
     top = len(searcher.filtered[0]) if searcher.filtered else 0
-    if workers == 1 or top < 2 * workers:
+    size = _pool_size(workers, top)
+    if size == 1:
         rows_found, totals = searcher.run()
     else:
-        bounds = [(top * w) // workers for w in range(workers + 1)]
-        args = [
-            (spec.lengths, bounds[w], bounds[w + 1]) for w in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        bounds = [(top * w) // size for w in range(size + 1)]
+        args = [(spec.lengths, bounds[w], bounds[w + 1]) for w in range(size)]
+        with ProcessPoolExecutor(max_workers=size) as pool:
             for found, counters in pool.map(_worker, args):
                 rows_found.extend(found)
                 for key in totals:
                     totals[key] += counters[key]
     rows_found.sort()
-    quandles = tuple(QuandleTable.from_rows(rows) for rows in rows_found)
+    # every hit was validated once in _emit
+    quandles = tuple(
+        QuandleTable._from_array(np.subtract(rows, 1)) for rows in rows_found
+    )
 
     iso_classes: tuple[tuple[int, ...], ...] = ()
     if dedup:
@@ -400,6 +399,21 @@ def prune_report(spec: SearchSpec, max_order: int | None = None) -> SearchStats:
     return search_by_profile(spec, max_order).stats
 
 
+def search_manifest(result: SearchResult, files: list[str] | None = None) -> dict:
+    """The quandlekit.search/1 report; `files` is listed when tables were saved."""
+    manifest = {
+        "schema": "quandlekit.search/1",
+        "profile": list(result.spec.lengths),
+        "order": result.spec.order,
+        "count": len(result.quandles),
+        "iso_classes": [list(c) for c in result.iso_classes],
+        "stats": result.stats.as_dict(),
+    }
+    if files is not None:
+        manifest["files"] = files
+    return manifest
+
+
 def save_search_result(result: SearchResult, outdir) -> dict:
     """Write one .qdl per table plus manifest.json; returns the manifest."""
     outdir = Path(outdir)
@@ -410,15 +424,7 @@ def save_search_result(result: SearchResult, outdir) -> dict:
         name = f"q{idx:03d}.qdl"
         (outdir / name).write_text(format_qdl(q, comments=(f"profile {prof}",)))
         files.append(name)
-    manifest = {
-        "schema": "quandlekit.search/1",
-        "profile": list(result.spec.lengths),
-        "order": result.spec.order,
-        "count": len(result.quandles),
-        "iso_classes": [list(c) for c in result.iso_classes],
-        "files": files,
-        "stats": result.stats.as_dict(),
-    }
+    manifest = search_manifest(result, files)
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )

@@ -15,8 +15,12 @@ conjugate of one of the c-1 block generators R_{n_i}.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
+
+import numpy as np
 
 from .core import (
     CycleStructure,
@@ -148,6 +152,30 @@ def check_profile_admissible(lengths) -> Admissibility:
     return Admissibility(lengths, False)
 
 
+def _block_bounds(lengths) -> tuple[int, ...]:
+    """Partial sums n_1 < ... < n_c of the block lengths."""
+    return tuple(accumulate(lengths))
+
+
+def _label_block_lengths(lengths) -> tuple[int, ...]:
+    """Length of the block holding each 0-based canonical label."""
+    return tuple(x for x in lengths for _ in range(x))
+
+
+def _canonical_r1(lengths) -> tuple[int, ...]:
+    """0-based image of the canonical R_1: each block is one forward cycle."""
+    ns = _block_bounds(lengths)
+    img: list[int] = []
+    for lo, hi in zip((0,) + ns, ns):
+        img.extend(range(lo + 1, hi))
+        img.append(lo)
+    return tuple(img)
+
+
+def _has_canonical_r1(q: QuandleTable, lengths) -> bool:
+    return tuple(q.array[:, 0].tolist()) == _canonical_r1(lengths)
+
+
 @dataclass(frozen=True)
 class CanonicalDecomposition:
     """Block data of a canonically labeled table.
@@ -164,12 +192,7 @@ class CanonicalDecomposition:
     @classmethod
     def from_lengths(cls, lengths, relabeling: Permutation) -> "CanonicalDecomposition":
         lengths = tuple(lengths)
-        ns = []
-        total = 0
-        for x in lengths:
-            total += x
-            ns.append(total)
-        return cls(lengths, tuple(ns), relabeling)
+        return cls(lengths, _block_bounds(lengths), relabeling)
 
     @property
     def c(self) -> int:
@@ -196,20 +219,9 @@ class CanonicalDecomposition:
         return range(1, self.ns[i - 1] + 1)
 
     def block_of(self, x: int) -> int:
-        for i, top in enumerate(self.ns, start=1):
-            if x <= top:
-                return i
-        raise ParamOutOfRange(f"label {x} outside 1..{self.n}")
-
-
-def _canonical_r1_image(lengths) -> tuple[int, ...]:
-    img = []
-    start = 0
-    for length in lengths:
-        img.extend(range(start + 2, start + length + 1))
-        img.append(start + 1)
-        start += length
-    return tuple(img)
+        if x > self.n:
+            raise ParamOutOfRange(f"label {x} outside 1..{self.n}")
+        return bisect_left(self.ns, x) + 1
 
 
 def canonical_relabel(q: QuandleTable) -> tuple[QuandleTable, CanonicalDecomposition]:
@@ -230,14 +242,10 @@ def canonical_relabel(q: QuandleTable) -> tuple[QuandleTable, CanonicalDecomposi
     for new, orig in enumerate(order, start=1):
         img[orig - 1] = new
     sigma = Permutation(img)
-    inv = sigma.inverse()
-    rows = [
-        [sigma(q.op(inv(a), inv(b))) for b in range(1, q.n + 1)]
-        for a in range(1, q.n + 1)
-    ]
-    out = QuandleTable.from_rows(rows)
+    old = np.array(order) - 1  # old[a] = the label that a replaces, 0-based
+    out = QuandleTable._from_array((np.array(img) - 1)[q.array[np.ix_(old, old)]])
     decomp = CanonicalDecomposition.from_lengths(sorted(len(c) for c in cycs), sigma)
-    if right_translation(out, 1).image != _canonical_r1_image(decomp.lengths):
+    if not _has_canonical_r1(out, decomp.lengths):
         raise NotCanonicalForm("relabeling failed to produce block form")  # bug guard
     return out, decomp
 
@@ -246,7 +254,7 @@ def decomposition_of(q: QuandleTable) -> CanonicalDecomposition:
     """Decomposition of a table already in canonical form."""
     r1 = right_translation(q, 1)
     lengths = sorted(len(c) for c in r1.cycles())
-    if r1.image != _canonical_r1_image(lengths):
+    if not _has_canonical_r1(q, lengths):
         raise NotCanonicalForm(
             "translation 1 is not the canonical block permutation; "
             "use canonical_relabel first"
@@ -347,9 +355,7 @@ class LcmCheck:
 def check_lcm_divisibility(q: QuandleTable) -> LcmCheck:
     """Check the lcm divisibility law on a canonical table."""
     decomp = decomposition_of(q)
-    block_len = [0] * (q.n + 1)
-    for x in range(1, q.n + 1):
-        block_len[x] = decomp.ell(decomp.block_of(x))
+    block_len = (0,) + _label_block_lengths(decomp.lengths)  # indexed by label
     bad = []
     for x in range(1, q.n + 1):
         row = q.rows[x - 1]

@@ -12,16 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CycleStructure, Permutation, QuandleTable, right_translation
-from .errors import IndexOutOfRange, ParamOutOfRange, ProfileInconsistency, SizeLimitExceeded
+from .core import (
+    CycleStructure,
+    Permutation,
+    QuandleTable,
+    ValidationResult,
+    right_translation,
+)
+from .errors import (
+    IndexOutOfRange,
+    InvalidQuandleError,
+    ParamOutOfRange,
+    ProfileInconsistency,
+    SizeLimitExceeded,
+)
 from .limits import DEFAULT_ENUM_CAP, resolve_cap
 
-# Closure computations run a plain worklist until the working set reaches this
-# size, then switch to a vectorized fixpoint (only worthwhile on big tables).
-_WORKLIST_LIMIT = 16
-
-# The all-pairs closure matrix costs n(n-1)/2 * n bytes; past this order the
-# subquandle enumeration falls back to per-seed closures.
+# The all-pairs closure matrix costs n(n-1)/2 * n bytes (4.3 GB at order
+# 2048); past this order the subquandle enumeration closes every extension
+# from scratch instead.
 _PAIR_MATRIX_LIMIT = 512
 
 
@@ -90,63 +99,6 @@ def profile(q: QuandleTable) -> Profile:
     return Profile(tuple(sorted(set(structures))), None)
 
 
-def _closure0(rows0, tbl: np.ndarray | None, seed0, base0=()) -> frozenset[int]:
-    """Closure of base0 | seed0 (0-based labels) under the operation.
-
-    base0 must already be closed; products inside it are skipped.
-    """
-    member = set(base0)
-    elems: list[int] = sorted(member)
-    start = len(elems)
-    for s in sorted(seed0):
-        if s not in member:
-            member.add(s)
-            elems.append(s)
-    if tbl is not None and len(elems) > _WORKLIST_LIMIT:
-        return _closure_np(tbl, elems[start:], elems[:start])
-    i = start
-    while i < len(elems):
-        x = elems[i]
-        rx = rows0[x]
-        for j in range(i + 1):
-            y = elems[j]
-            p = rx[y]
-            if p not in member:
-                member.add(p)
-                elems.append(p)
-            p = rows0[y][x]
-            if p not in member:
-                member.add(p)
-                elems.append(p)
-        if tbl is not None and len(elems) > _WORKLIST_LIMIT:
-            return _closure_np(tbl, member)
-        i += 1
-    return frozenset(member)
-
-
-def _closure_np(tbl: np.ndarray, seed0, base0=()) -> frozenset[int]:
-    """Grow only the frontier: each round multiplies new elements against
-    everything known, both orders; known-known products were already taken."""
-    n = tbl.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[list(base0)] = True
-    frontier = np.array(sorted(seed0), dtype=np.intp)
-    frontier = frontier[~mask[frontier]]
-    mask[frontier] = True
-    size = int(mask.sum())
-    while frontier.size:
-        if size == n:
-            return frozenset(range(n))
-        idx = np.flatnonzero(mask)
-        hit = np.zeros(n, dtype=bool)
-        hit[tbl[frontier[:, None], idx].ravel()] = True
-        hit[tbl[idx[:, None], frontier].ravel()] = True
-        frontier = np.flatnonzero(hit & ~mask)
-        mask |= hit
-        size += frontier.size
-    return frozenset(np.flatnonzero(mask).tolist())
-
-
 def _close_mask(tbl: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Fixpoint of all-pairs products over a boolean mask, in place."""
     n = tbl.shape[0]
@@ -178,7 +130,8 @@ def _pair_closure_matrix(tbl: np.ndarray):
         for y in range(x + 1, n):
             if pair_id[x, y] >= 0:
                 continue
-            mat[next_id, list(_closure_np(tbl, (x, y)))] = True
+            mat[next_id, [x, y]] = True
+            _close_mask(tbl, mat[next_id])
             pair_id[x, y] = next_id
             next_id += 1
             queue.append((x, y))
@@ -198,31 +151,44 @@ def _pair_closure_matrix(tbl: np.ndarray):
     return pair_id, mat
 
 
-def _enumerate_sets_np(tbl: np.ndarray) -> set[frozenset[int]]:
-    """Closed-subset BFS over boolean masks keyed by their bytes."""
+def _enumerate_sets(tbl: np.ndarray) -> set[frozenset[int]]:
+    """Closed subsets (0-based) by breadth-first growth over boolean masks.
+
+    Every known set S is extended by one outside element e and closed.  Up
+    to _PAIR_MATRIX_LIMIT the closure starts from the union of the precomputed
+    closures of {s, e} for s in S, and the first layer is read off the matrix.
+    """
     n = tbl.shape[0]
-    pair_id, mat = _pair_closure_matrix(tbl)
+    pairs = _pair_closure_matrix(tbl) if n <= _PAIR_MATRIX_LIMIT else None
     known: dict[bytes, np.ndarray] = {}
     for x in range(n):
         v = np.zeros(n, dtype=bool)
         v[x] = True
         known[v.tobytes()] = v
-    layer: list[np.ndarray] = []
-    for x in range(n):  # extending a singleton is exactly a pair closure
-        for y in range(x + 1, n):
-            v = mat[pair_id[x, y]]
-            key = v.tobytes()
-            if key not in known:
-                v = v.copy()
-                known[key] = v
-                layer.append(v)
+    if pairs is None:
+        layer = list(known.values())
+    else:
+        pair_id, mat = pairs
+        layer = []
+        for x in range(n):  # extending a singleton is exactly a pair closure
+            for y in range(x + 1, n):
+                v = mat[pair_id[x, y]]
+                key = v.tobytes()
+                if key not in known:
+                    v = v.copy()
+                    known[key] = v
+                    layer.append(v)
     while layer:
         grown: list[np.ndarray] = []
         for svec in layer:
             s_idx = np.flatnonzero(svec)
             for e in np.flatnonzero(~svec):
-                ids = pair_id[np.minimum(s_idx, e), np.maximum(s_idx, e)]
-                u = svec | mat[ids].any(axis=0)
+                if pairs is None:
+                    u = svec.copy()
+                    u[e] = True
+                else:
+                    ids = pair_id[np.minimum(s_idx, e), np.maximum(s_idx, e)]
+                    u = svec | mat[ids].any(axis=0)
                 if not u.all():
                     u = _close_mask(tbl, u)
                 key = u.tobytes()
@@ -233,33 +199,6 @@ def _enumerate_sets_np(tbl: np.ndarray) -> set[frozenset[int]]:
     return {frozenset(np.flatnonzero(v).tolist()) for v in known.values()}
 
 
-def _enumerate_sets_worklist(rows0, tbl, n: int) -> set[frozenset[int]]:
-    """Closed-subset BFS over frozensets using the scalar closure."""
-    known: set[frozenset[int]] = set()
-    layer: list[frozenset[int]] = []
-    for x in range(n):
-        s = frozenset((x,))  # singletons are closed by idempotency
-        known.add(s)
-        layer.append(s)
-    tried: set[frozenset[int]] = set()
-    while layer:
-        grown: list[frozenset[int]] = []
-        for s in layer:
-            for e in range(n):
-                if e in s:
-                    continue
-                seed = s | {e}
-                if seed in tried:
-                    continue
-                tried.add(seed)
-                t = _closure0(rows0, tbl, (e,), s)
-                if t not in known:
-                    known.add(t)
-                    grown.append(t)
-        layer = grown
-    return known
-
-
 def subquandle_closure(q: QuandleTable, seed) -> frozenset[int]:
     """Smallest subset containing seed and closed under the operation."""
     seed = set(seed)
@@ -268,26 +207,34 @@ def subquandle_closure(q: QuandleTable, seed) -> frozenset[int]:
     for x in seed:
         if not 1 <= x <= q.n:
             raise IndexOutOfRange(f"label {x} outside 1..{q.n}")
-    rows0 = tuple(tuple(v - 1 for v in row) for row in q.rows)
-    tbl = np.array(rows0, dtype=np.int32) if q.n > 48 else None
-    return frozenset(x + 1 for x in _closure0(rows0, tbl, {x - 1 for x in seed}))
+    mask = np.zeros(q.n, dtype=bool)
+    mask[[x - 1 for x in seed]] = True
+    return frozenset((np.flatnonzero(_close_mask(q.array, mask)) + 1).tolist())
 
 
 def subtable(q: QuandleTable, elements) -> QuandleTable:
-    """Extract the table induced on a closed subset, relabeled 1..k by rank."""
+    """Extract the table induced on a closed subset, relabeled 1..k by rank.
+
+    A set that is not closed raises InvalidQuandleError with an
+    EntryOutOfRange witness at the first escaping product in row-major order.
+    """
     elems = sorted(set(elements))
     for x in elems:
         if not 1 <= x <= q.n:
             raise IndexOutOfRange(f"label {x} outside 1..{q.n}")
-    rank = {x: r for r, x in enumerate(elems, start=1)}
-    rows = []
-    for a in elems:
-        row = []
-        for b in elems:
-            v = q.rows[a - 1][b - 1]
-            row.append(rank.get(v, 0))  # 0 marks escape; validation rejects it
-        rows.append(row)
-    return QuandleTable.from_rows(rows)
+    if not elems:
+        raise InvalidQuandleError(ValidationResult(False, "NonSquare", ()))
+    idx = np.array(elems) - 1
+    rank = np.full(q.n, -1, dtype=np.int32)
+    rank[idx] = np.arange(len(idx))
+    sub = rank[q.array[np.ix_(idx, idx)]]
+    escaped = np.argwhere(sub < 0)
+    if escaped.size:
+        i, j = escaped[0].tolist()
+        raise InvalidQuandleError(
+            ValidationResult(False, "EntryOutOfRange", (i + 1, j + 1))
+        )
+    return QuandleTable._from_array(sub)
 
 
 @dataclass(frozen=True)
@@ -335,13 +282,7 @@ def enumerate_subquandles(
     cap = resolve_cap(max_order, DEFAULT_ENUM_CAP)
     if q.n > cap:
         raise SizeLimitExceeded(f"order {q.n} exceeds enumeration cap {cap}")
-    rows0 = tuple(tuple(v - 1 for v in row) for row in q.rows)
-    tbl = np.array(rows0, dtype=np.int32) if q.n > 48 else None
-    if tbl is not None and q.n <= _PAIR_MATRIX_LIMIT:
-        known = _enumerate_sets_np(tbl)
-    else:
-        known = _enumerate_sets_worklist(rows0, tbl, q.n)
-
+    known = _enumerate_sets(q.array)
     subsets = sorted(known, key=lambda s: (len(s), sorted(s)))
     tables = []
     profiles = []

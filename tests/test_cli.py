@@ -52,6 +52,16 @@ class TestValidate:
         assert main(["validate", "no/such/file.qdl"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_integer_forms(self, tmp_path, capsys):
+        plus = tmp_path / "plus.qdl"
+        plus.write_text("+2\n1 1\n2 2\n")
+        assert main(["validate", str(plus)]) == 2
+        assert "line 1" in capsys.readouterr().err
+        negative = tmp_path / "negative.qdl"
+        negative.write_text("2\n1 -1\n2 2\n")
+        assert main(["validate", str(negative)]) == 1
+        assert capsys.readouterr().out == "EntryOutOfRange at (1, 2)\n"
+
 
 class TestAnalyze:
     def test_text_report(self, capsys):

@@ -1,8 +1,12 @@
 """Tables, permutations, validation, and the .qdl text format."""
 
 import random
+import re
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit import (
     ConjugationViolation,
@@ -13,17 +17,19 @@ from quandlekit import (
     ParseError,
     Permutation,
     QuandleTable,
+    affine_quandle,
     cycle_structure,
     format_qdl,
     from_translations,
     parse_qdl,
     read_qdl,
     right_translation,
+    shq_family,
     translations,
     validate_quandle,
     write_qdl,
 )
-from conftest import FIXTURES, Q94_ROWS, trivial_quandle
+from conftest import FIXTURES, Q94_ROWS, relabel, trivial_quandle
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:
@@ -181,12 +187,10 @@ class TestValidateQuandle:
         rows[0][1], rows[2][1] = rows[2][1], rows[0][1]
         result = validate_quandle(rows)
         assert result.error == "DistributivityViolation"
-        assert result.witness == naive_first_distributivity_failure(rows)
+        assert (result.error, result.witness) == reference_first_failure(rows)
 
     def test_numpy_path_matches_naive_oracle(self):
-        # order 49 goes through the vectorized checker; corrupt it and compare
-        from quandlekit import affine_quandle
-
+        # corrupt an order-49 table and compare with the scalar scan
         base = [list(r) for r in affine_quandle(49, 19).rows]
         rng = random.Random(12)
         for _ in range(10):
@@ -195,41 +199,69 @@ class TestValidateQuandle:
             i1, i2 = rng.sample(range(49), 2)
             rows[i1][j], rows[i2][j] = rows[i2][j], rows[i1][j]
             result = validate_quandle(rows)
-            expect = naive_first_failure(rows)
+            expect = reference_first_failure(rows)
             assert (result.error, result.witness) == expect
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_mutated_relabellings(self, data):
+        rows = data.draw(relabelled_rows())
+        n = len(rows)
+        index = st.integers(0, n - 1)
+        kind = data.draw(st.sampled_from(["none", "swap", "diagonal", "column", "entry"]))
+        if kind == "swap":  # two entries of one column trade places
+            j, a, b = data.draw(index), data.draw(index), data.draw(index)
+            rows[a][j], rows[b][j] = rows[b][j], rows[a][j]
+        elif kind == "diagonal":
+            i = data.draw(index)
+            rows[i][i] = data.draw(st.integers(1, n))
+        elif kind == "column":  # one column overwritten by another
+            src, dst = data.draw(index), data.draw(index)
+            for row in rows:
+                row[dst] = row[src]
+        elif kind == "entry":  # one entry repeated within its column
+            j, a, b = data.draw(index), data.draw(index), data.draw(index)
+            rows[a][j] = rows[b][j]
+        result = validate_quandle(rows)
+        assert (result.error, result.witness) == reference_first_failure(rows)
 
     def test_str_reports_witness(self):
         result = validate_quandle([(1, 1, 1), (2, 2, 2), (3, 3, 2)])
         assert "IdempotencyViolation" in str(result) and "(3,)" in str(result)
 
 
-def naive_first_distributivity_failure(rows):
+def reference_first_failure(rows):
+    """(error name, witness) from the scalar scan: idempotency over i, column
+    bijectivity over j, then distributivity i-major with early exit."""
     n = len(rows)
-
-    def op(a, b):
-        return rows[a - 1][b - 1]
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if op(op(i, j), k) != op(op(i, k), op(j, k)):
-                    return (i, j, k)
-    return None
-
-
-def naive_first_failure(rows):
-    """(error name, witness) by direct definition checks, in scan order."""
-    n = len(rows)
-    for i in range(1, n + 1):
-        if rows[i - 1][i - 1] != i:
-            return ("IdempotencyViolation", (i,))
-    for j in range(1, n + 1):
-        if sorted(rows[i - 1][j - 1] for i in range(1, n + 1)) != list(range(1, n + 1)):
-            return ("RightInvertibilityViolation", (j,))
-    w = naive_first_distributivity_failure(rows)
-    if w is not None:
-        return ("DistributivityViolation", w)
+    t = [[v - 1 for v in row] for row in rows]
+    for i in range(n):
+        if t[i][i] != i:
+            return ("IdempotencyViolation", (i + 1,))
+    for j in range(n):
+        if sorted(row[j] for row in t) != list(range(n)):
+            return ("RightInvertibilityViolation", (j + 1,))
+    for i in range(n):
+        ti = t[i]
+        for j in range(n):
+            tij = t[ti[j]]
+            tj = t[j]
+            for k in range(n):
+                if tij[k] != t[ti[k]][tj[k]]:
+                    return ("DistributivityViolation", (i + 1, j + 1, k + 1))
     return (None, ())
+
+
+@st.composite
+def relabelled_rows(draw):
+    """Rows of a random relabelling of an affine or family table, order <= 40."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 40))
+        q = affine_quandle(m, draw(st.sampled_from([h for h in range(m) if gcd(h, m) == 1])))
+    else:
+        q = shq_family(*draw(st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])))
+    image = draw(st.permutations(range(1, q.n + 1)))
+    return [list(row) for row in relabel(q, Permutation(image)).rows]
 
 
 class TestQuandleTable:
@@ -339,6 +371,40 @@ class TestQdlFormat:
             parse_qdl("2\n1 1\n")  # missing a row
         with pytest.raises(ParseError):
             parse_qdl("0\n")
+
+    @pytest.mark.parametrize(
+        "digit",
+        [lambda d: f"+{d}", lambda d: f"0_{d}", lambda d: chr(0x660 + d)],
+        ids=["plus", "underscore", "arabic_indic"],
+    )
+    def test_integers_are_ascii_decimal(self, digit):
+        # '+3', '0_3' and the Arabic-Indic '3' all pass int(); none is a .qdl integer
+        with pytest.raises(ParseError, match="line 2"):
+            parse_qdl(f"# trivial\n{digit(3)}\n1 1 1\n2 2 2\n3 3 3\n")
+        with pytest.raises(ParseError, match="line 3"):
+            parse_qdl(f"3\n1 1 1\n2 {digit(2)} 2\n3 3 3\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789+-_ \u0663\uff13\u00b2x", min_size=1, max_size=5))
+    def test_row_integers_match_decimal_grammar(self, token):
+        text = f"1\n{token}\n"
+        decimal = re.fullmatch(r"-?[0-9]+", token.strip()) is not None
+        if decimal:
+            if int(token) == 1:
+                assert parse_qdl(text).n == 1
+            else:
+                with pytest.raises(InvalidQuandleError):
+                    parse_qdl(text)
+        elif len(token.split()) == 1:
+            with pytest.raises(ParseError, match="line 2"):
+                parse_qdl(text)
+
+    def test_negative_entry_reaches_validation(self):
+        with pytest.raises(InvalidQuandleError) as exc:
+            parse_qdl("2\n1 -1\n2 2\n")
+        assert (exc.value.result.error, exc.value.result.witness) == ("EntryOutOfRange", (1, 2))
+        with pytest.raises(ParseError, match="line 1"):
+            parse_qdl("-2\n")
 
     def test_invalid_table_raises_invalid_not_parse(self):
         with pytest.raises(InvalidQuandleError):

@@ -167,6 +167,18 @@ class TestDeterminismAndWorkers:
         assert a.iso_classes == b.iso_classes
         assert a.stats.as_dict() == b.stats.as_dict()
 
+    def test_pool_size_is_bounded(self, monkeypatch):
+        import os
+
+        from quandlekit.search import _pool_size
+
+        huge = 10**9
+        assert _pool_size(1, 100) == 1
+        assert _pool_size(huge, 1000) == 1  # under two candidates each: in-process
+        assert _pool_size(huge, 2 * huge) == min(huge, os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(huge, 2 * huge) == 1
+
     def test_bad_worker_count(self):
         with pytest.raises(ParamOutOfRange):
             search_by_profile(SearchSpec((1, 2)), workers=0)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from quandlekit import (
@@ -224,7 +225,7 @@ class TestConjugationRelations:
         rows = [list(r) for r in q94.rows]
         for r in rows:
             r[3], r[4] = r[4], r[3]  # swap translations 4 and 5
-        broken = QuandleTable(rows, validate=False)
+        broken = QuandleTable._from_array(np.array(rows) - 1)
         check = check_conjugation_relations(broken)
         assert not check.passed
         assert check.witness == (3, 1)
@@ -256,7 +257,7 @@ class TestFixBlocks:
         # every column equals (1)(2 3 4): only label 1 is ever fixed
         sigma = (1, 3, 4, 2)
         rows = [[sigma[i]] * 4 for i in range(4)]
-        broken = QuandleTable(rows, validate=False)
+        broken = QuandleTable._from_array(np.array(rows) - 1)
         with pytest.raises(NotAPartition, match="cover"):
             fix_blocks(broken, 1)
 
@@ -264,9 +265,26 @@ class TestFixBlocks:
         # column 1 is (1)(2 3 4), the rest are the identity
         sigma = (1, 3, 4, 2)
         rows = [[sigma[i], i + 1, i + 1, i + 1] for i in range(4)]
-        broken = QuandleTable(rows, validate=False)
+        broken = QuandleTable._from_array(np.array(rows) - 1)
         with pytest.raises(NotAPartition, match="overlap"):
             fix_blocks(broken, 1)
+
+
+class TestDerivedTablesSkipValidation:
+    def test_theorem_and_fix_blocks_run_no_axiom_check(self, monkeypatch):
+        from quandlekit import core, shq_family
+
+        image = list(range(1, 28))
+        random.Random(31).shuffle(image)
+        q = relabel(shq_family(3, 4), Permutation(image))
+        calls = []
+        real = core.validate_quandle
+        monkeypatch.setattr(
+            core, "validate_quandle", lambda rows: calls.append(len(rows)) or real(rows)
+        )
+        assert verify_main_theorem(q).all_passed
+        assert fix_block_report(q).passed
+        assert calls == []
 
 
 class TestFixBlockReport:

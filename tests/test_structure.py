@@ -3,8 +3,9 @@
 import random
 from itertools import combinations
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit import (
     IndexOutOfRange,
@@ -13,8 +14,10 @@ from quandlekit import (
     Permutation,
     QuandleTable,
     SizeLimitExceeded,
+    ValidationResult,
     affine_quandle,
     are_isomorphic,
+    canonical_relabel,
     enumerate_subquandles,
     is_connected,
     is_latin,
@@ -24,8 +27,9 @@ from quandlekit import (
     shq_family,
     subquandle_closure,
     subtable,
+    validate_quandle,
 )
-from quandlekit.structure import _enumerate_sets_np, _enumerate_sets_worklist
+from quandlekit import structure
 from conftest import cyclic_type_quandle, dihedral_quandle, relabel, trivial_quandle
 
 
@@ -241,25 +245,85 @@ class TestEnumerateSubquandles:
 
 
 class TestEnumerationBackends:
-    """The mask-propagation path and the scalar worklist must agree."""
+    """Past _PAIR_MATRIX_LIMIT every extension is closed from scratch; at
+    small orders that fallback must list the same sets as the pair-matrix BFS."""
 
-    def test_agree_on_fixture_bank(self, shq_fixtures):
+    @staticmethod
+    def agree(q, monkeypatch):
+        main = enumerate_subquandles(q)
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_PAIR_MATRIX_LIMIT", 0)
+            fallback = enumerate_subquandles(q)
+        assert fallback == main
+
+    def test_agree_on_fixture_bank(self, shq_fixtures, monkeypatch):
         for name, q in shq_fixtures:
-            if q.n > 32:
-                continue
-            rows0 = tuple(tuple(v - 1 for v in row) for row in q.rows)
-            tbl = np.array(rows0, dtype=np.int32)
-            assert _enumerate_sets_np(tbl) == (
-                _enumerate_sets_worklist(rows0, None, q.n)
-            ), name
+            if q.n <= 32:
+                self.agree(q, monkeypatch)
 
-    def test_agree_on_disconnected(self):
+    def test_agree_on_disconnected(self, monkeypatch):
         for q in (trivial_quandle(5), dihedral_quandle(6), dihedral_quandle(8)):
-            rows0 = tuple(tuple(v - 1 for v in row) for row in q.rows)
-            tbl = np.array(rows0, dtype=np.int32)
-            assert _enumerate_sets_np(tbl) == (
-                _enumerate_sets_worklist(rows0, None, q.n)
-            )
+            self.agree(q, monkeypatch)
+
+
+# Connected and disconnected quandles of order <= 12.
+SMALL = (
+    [trivial_quandle(n) for n in (1, 2, 4)]
+    + [dihedral_quandle(n) for n in (3, 4, 6, 8, 10, 12)]
+    + [affine_quandle(m, h) for m, h in ((5, 2), (7, 3), (9, 2), (11, 2))]
+    + [cyclic_type_quandle(2, 2), cyclic_type_quandle(2, 3)]
+)
+
+# Tables whose R_1 has distinct cycle lengths, so canonical_relabel applies.
+SHQS = [shq_family(p, c) for p, c in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2))] + [
+    cyclic_type_quandle(p, a) for p, a in ((2, 2), (2, 3), (2, 4), (3, 2))
+]
+
+
+@st.composite
+def relabelled(draw, bank):
+    q = draw(st.sampled_from(bank))
+    return relabel(q, Permutation(draw(st.permutations(range(1, q.n + 1)))))
+
+
+class TestDerivedTableOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled(SMALL))
+    def test_enumeration_matches_brute_force(self, q):
+        inv = enumerate_subquandles(q)
+        assert {frozenset(e.elements) for e in inv.entries} == (
+            brute_force_closed_subsets(q)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled(SHQS), st.data())
+    def test_derived_tables_validate(self, q, data):
+        assert validate_quandle(canonical_relabel(q)[0].rows).ok
+        seed = data.draw(st.sets(st.integers(1, q.n), min_size=1, max_size=3))
+        closed = subquandle_closure(q, seed)
+        assert validate_quandle(subtable(q, closed).rows).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled(SMALL), st.data())
+    def test_unclosed_subtable_witness(self, q, data):
+        elems = sorted(data.draw(st.sets(st.integers(1, q.n), min_size=1)))
+        inside = set(elems)
+        # the first product escaping the set, in row-major order of the subtable
+        escape = next(
+            (
+                (i, j)
+                for i, a in enumerate(elems, start=1)
+                for j, b in enumerate(elems, start=1)
+                if q.op(a, b) not in inside
+            ),
+            None,
+        )
+        if escape is None:
+            assert subtable(q, elems).n == len(elems)
+            return
+        with pytest.raises(InvalidQuandleError) as exc:
+            subtable(q, elems)
+        assert exc.value.result == ValidationResult(False, "EntryOutOfRange", escape)
 
 
 class TestAreIsomorphic:
