@@ -219,7 +219,7 @@ class CanonicalDecomposition:
         return range(1, self.ns[i - 1] + 1)
 
     def block_of(self, x: int) -> int:
-        if x > self.n:
+        if not 1 <= x <= self.n:
             raise ParamOutOfRange(f"label {x} outside 1..{self.n}")
         return bisect_left(self.ns, x) + 1
 

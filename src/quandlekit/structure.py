@@ -17,6 +17,7 @@ from .core import (
     Permutation,
     QuandleTable,
     ValidationResult,
+    _close_mask,
     right_translation,
 )
 from .errors import (
@@ -97,20 +98,6 @@ def profile(q: QuandleTable) -> Profile:
                 )
         return Profile((first,), first)
     return Profile(tuple(sorted(set(structures))), None)
-
-
-def _close_mask(tbl: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Fixpoint of all-pairs products over a boolean mask, in place."""
-    n = tbl.shape[0]
-    size = int(mask.sum())
-    while size < n:
-        idx = np.flatnonzero(mask)
-        mask[tbl[idx[:, None], idx].ravel()] = True
-        grown = int(mask.sum())
-        if grown == size:
-            break
-        size = grown
-    return mask
 
 
 def _pair_closure_matrix(tbl: np.ndarray):

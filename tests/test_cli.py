@@ -62,6 +62,26 @@ class TestValidate:
         assert main(["validate", str(negative)]) == 1
         assert capsys.readouterr().out == "EntryOutOfRange at (1, 2)\n"
 
+    def test_order_cap_from_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("QUANDLEKIT_MAX_ORDER", "8")
+        for argv in (["validate", "--json", Q94], ["analyze", Q94]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: line 2: order 9 exceeds the cap 8 (QUANDLEKIT_MAX_ORDER)\n"
+        monkeypatch.setenv("QUANDLEKIT_MAX_ORDER", "9")
+        assert main(["validate", Q94]) == 0
+
+    def test_order_cap_after_row_count(self, monkeypatch, tmp_path, capsys):
+        # a huge header over a short body still reports the missing rows
+        monkeypatch.setenv("QUANDLEKIT_MAX_ORDER", "8")
+        short = tmp_path / "short.qdl"
+        short.write_text(f"{2**62}\n1 1\n2 2\n")
+        assert main(["validate", str(short)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: expected {2**62} rows, file ends after 2\n"
+        )
+
 
 class TestAnalyze:
     def test_text_report(self, capsys):

@@ -29,7 +29,8 @@ from quandlekit import (
     validate_quandle,
     write_qdl,
 )
-from conftest import FIXTURES, Q94_ROWS, relabel, trivial_quandle
+from quandlekit import core
+from conftest import FIXTURES, Q94_ROWS, dihedral_quandle, relabel, trivial_quandle
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:
@@ -225,6 +226,37 @@ class TestValidateQuandle:
         result = validate_quandle(rows)
         assert (result.error, result.witness) == reference_first_failure(rows)
 
+    def test_violation_beyond_the_first_generator(self):
+        # label 1 is fixed by everything and acts trivially, so R_1 is an
+        # automorphism that generates nothing; the broken Q94 on 2..10 fails later
+        broken = [list(r) for r in Q94_ROWS]
+        broken[0][1], broken[2][1] = broken[2][1], broken[0][1]
+        rows = [[1] * 10] + [[i + 2] + [v + 1 for v in row] for i, row in enumerate(broken)]
+        result = validate_quandle(rows)
+        assert result.error == "DistributivityViolation"
+        assert (result.error, result.witness) == reference_first_failure(rows)
+
+    def test_valid_tables_skip_the_witness_scan(self, monkeypatch):
+        def scan(tbl):
+            raise AssertionError("full witness scan on a valid table")
+
+        monkeypatch.setattr(core, "_first_mismatch", scan)
+        rng = random.Random(343)
+        image = list(range(1, 344))
+        rng.shuffle(image)
+        rows = relabel(affine_quandle(343, 3), Permutation(image)).rows
+        assert validate_quandle(rows).ok
+        assert validate_quandle([(1,) * 5, (2,) * 5, (3,) * 5, (4,) * 5, (5,) * 5]).ok
+
+    def test_entry_forms_outside_the_array_path(self):
+        # entries numpy cannot take as one integer array go through the scalar scan
+        assert validate_quandle([(1, 2.0), (1, 2)]).witness == (1, 2)
+        assert validate_quandle([(1, 1), (2, [2])]).witness == (2, 2)
+        assert validate_quandle([(1, 1), (2, 2**70)]).witness == (2, 2)
+        assert validate_quandle([("1", "1"), ("2", "2")]).witness == (1, 1)
+        assert validate_quandle([(True, True), (2, 2)]).ok  # bools are ints
+        assert validate_quandle([(True, True), (2, 3)]).witness == (2, 2)
+
     def test_str_reports_witness(self):
         result = validate_quandle([(1, 1, 1), (2, 2, 2), (3, 3, 2)])
         assert "IdempotencyViolation" in str(result) and "(3,)" in str(result)
@@ -254,12 +286,19 @@ def reference_first_failure(rows):
 
 @st.composite
 def relabelled_rows(draw):
-    """Rows of a random relabelling of an affine or family table, order <= 40."""
-    if draw(st.booleans()):
+    """Rows of a random relabelling of an affine, family, trivial or even-order
+    dihedral table, order <= 40.  The last two are disconnected and need many
+    generators."""
+    kind = draw(st.sampled_from(["affine", "family", "trivial", "dihedral"]))
+    if kind == "affine":
         m = draw(st.integers(1, 40))
         q = affine_quandle(m, draw(st.sampled_from([h for h in range(m) if gcd(h, m) == 1])))
-    else:
+    elif kind == "family":
         q = shq_family(*draw(st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])))
+    elif kind == "trivial":
+        q = trivial_quandle(draw(st.integers(1, 12)))
+    else:
+        q = dihedral_quandle(2 * draw(st.integers(1, 20)))
     image = draw(st.permutations(range(1, q.n + 1)))
     return [list(row) for row in relabel(q, Permutation(image)).rows]
 

@@ -205,6 +205,13 @@ class TestDecomposition:
         with pytest.raises(ParamOutOfRange):
             d.block_of(10)
 
+    def test_block_of_bounds(self, q94):
+        d = decomposition_of(q94)
+        for bad in (-1, 0, d.n + 1):
+            with pytest.raises(ParamOutOfRange):
+                d.block_of(bad)
+        assert (d.block_of(1), d.block_of(d.n)) == (1, d.c)
+
     def test_non_canonical_rejected(self, q94):
         swapped = relabel(q94, Permutation.from_cycles(9, [(2, 4)]))
         with pytest.raises(NotCanonicalForm):

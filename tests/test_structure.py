@@ -18,6 +18,7 @@ from quandlekit import (
     affine_quandle,
     are_isomorphic,
     canonical_relabel,
+    classify_shq,
     enumerate_subquandles,
     is_connected,
     is_latin,
@@ -302,6 +303,21 @@ class TestDerivedTableOracles:
         seed = data.draw(st.sets(st.integers(1, q.n), min_size=1, max_size=3))
         closed = subquandle_closure(q, seed)
         assert validate_quandle(subtable(q, closed).rows).ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SMALL + SHQS), st.data())
+    def test_profile_and_shq_class_survive_relabelling(self, q, data):
+        other = relabel(q, Permutation(data.draw(st.permutations(range(1, q.n + 1)))))
+        assert profile(other) == profile(q)
+        assert classify_shq(other) == classify_shq(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled(SHQS))
+    def test_canonical_relabel_is_idempotent(self, q):
+        canon, decomp = canonical_relabel(q)
+        again, redo = canonical_relabel(canon)
+        assert again == canon
+        assert (redo.lengths, redo.relabeling) == (decomp.lengths, Permutation.identity(q.n))
 
     @settings(max_examples=60, deadline=None)
     @given(relabelled(SMALL), st.data())
