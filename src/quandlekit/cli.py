@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import __version__
 from .construct import (
     GaloisField,
     affine_quandle,
@@ -27,9 +28,7 @@ from .errors import (
 )
 from .search import SearchSpec, save_search_result, search_by_profile, search_manifest
 from .shq import check_profile_admissible, classify_shq, verify_main_theorem
-from .structure import enumerate_subquandles, is_connected, is_latin, profile
-
-_VERSION = "0.1.0"
+from .structure import enumerate_subquandles, is_latin, profile
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
@@ -84,7 +83,7 @@ def cmd_analyze(args) -> int:
         "schema": "quandlekit.analyze/1",
         "order": q.n,
         "valid": True,
-        "connected": is_connected(q),
+        "connected": prof.connected,
         "latin": is_latin(q),
         "profile": {
             "structures": [list(s.lengths) for s in prof.structures],
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quandlekit", description="Finite quandle toolkit."
     )
-    parser.add_argument("--version", action="version", version=f"quandlekit {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"quandlekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check a .qdl table against the axioms")

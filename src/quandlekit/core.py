@@ -66,6 +66,34 @@ class CycleStructure:
         return "(" + ", ".join(parts) + ")"
 
 
+def _cycles(img: Sequence[int]) -> list[list[int]]:
+    """Disjoint cycles of the 0-based permutation img (img[x] is the image of
+    x), in orbit order, each starting at its smallest point."""
+    seen = [False] * len(img)
+    out = []
+    for start in range(len(img)):
+        if seen[start]:
+            continue
+        cyc = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cyc.append(x)
+            x = img[x]
+        out.append(cyc)
+    return out
+
+
+def _power(img: Sequence[int], k: int) -> list[int]:
+    """0-based image of img**k, for any integer k: each point moves k steps
+    along its cycle."""
+    out = [0] * len(img)
+    for cyc in _cycles(img):
+        for i, x in enumerate(cyc):
+            out[x] = cyc[(i + k) % len(cyc)]
+    return out
+
+
 class Permutation:
     """Bijection of {1..n}, stored as the image tuple (image[i-1] = sigma(i))."""
 
@@ -116,31 +144,11 @@ class Permutation:
         return Permutation(inv)
 
     def __pow__(self, k: int) -> "Permutation":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = Permutation.identity(self.n)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Permutation(x + 1 for x in _power([x - 1 for x in self.image], k))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles in orbit order, each starting at its smallest label."""
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            x = start
-            while not seen[x - 1]:
-                seen[x - 1] = True
-                cyc.append(x)
-                x = self.image[x - 1]
-            out.append(tuple(cyc))
-        return tuple(out)
+        return tuple(tuple(x + 1 for x in c) for c in _cycles([x - 1 for x in self.image]))
 
     def cycle_structure(self) -> CycleStructure:
         return CycleStructure.from_lengths(len(c) for c in self.cycles())
@@ -256,7 +264,7 @@ def _first_mismatch(tbl: np.ndarray) -> tuple[int, int, int] | None:
 def _int_table(rows: Sequence[Sequence[int]], n: int) -> np.ndarray | None:
     """rows as one integer array when it is n x n with entries in 1..n, else None."""
     try:
-        arr = np.array(rows)
+        arr = np.asarray(rows)
     except ValueError:  # ragged below the row level
         return None
     if arr.dtype.kind in "iu" and arr.shape == (n, n) and arr.min() >= 1 and arr.max() <= n:
@@ -270,7 +278,8 @@ def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
     Scan order is idempotency over i, then column bijectivity over j, then
     distributivity over (i, j, k) lexicographically.  Distributivity is
     decided on a generating set (_distributive); only a failing table pays
-    for the full scan that finds its first witness.
+    for the full scan that finds its first witness.  rows may also be an
+    integer numpy array, which is read without a copy.
     """
     n = len(rows)
     if n == 0:
@@ -302,23 +311,23 @@ def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
 class QuandleTable:
     """Immutable validated operation table with 1-based labels.
 
-    `array` holds the same table 0-based, as a read-only int32 numpy array
-    built once; the closure, enumeration and relabelling kernels read it.
+    The one stored form is `array`: the table 0-based, as a read-only int32
+    numpy array, so column i - 1 is the right translation R_i.  `rows`,
+    `row` and `op` are 1-based views derived from it.
     """
 
-    __slots__ = ("n", "rows", "array")
+    __slots__ = ("array",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        tup = tuple(tuple(row) for row in rows)
-        result = validate_quandle(tup)
+        rows = tuple(tuple(row) for row in rows)
+        arr = _int_table(rows, len(rows))
+        # entries numpy cannot take as one integer array go to validation as
+        # they are, so its scalar scan finds the first bad one
+        result = validate_quandle(rows if arr is None else arr)
         if not result.ok:
             raise InvalidQuandleError(result)
-        self._fill(tup, np.array(tup, dtype=np.int32) - 1)
-
-    def _fill(self, rows: tuple, array: np.ndarray) -> None:
+        array = np.array(rows if arr is None else arr, dtype=np.int32) - 1
         array.flags.writeable = False
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "array", array)
 
     @classmethod
@@ -328,9 +337,10 @@ class QuandleTable:
         Right translations of a quandle are automorphisms, so its relabellings
         and the subtables of its closed subsets are quandles too.
         """
-        array = np.array(array, dtype=np.int32)
         self = object.__new__(cls)
-        self._fill(tuple(map(tuple, (array + 1).tolist())), array)
+        array = np.array(array, dtype=np.int32)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
         return self
 
     def __setattr__(self, name, value):
@@ -341,22 +351,31 @@ class QuandleTable:
         """Validate rows and wrap them; raises InvalidQuandleError on failure."""
         return cls(rows)
 
+    @property
+    def n(self) -> int:
+        return len(self.array)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The table as 1-based row tuples, built from the array on each call."""
+        return tuple(map(tuple, (self.array + 1).tolist()))
+
     def op(self, i: int, j: int) -> int:
         """The product i * j."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexOutOfRange(f"labels ({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
+        return int(self.array[i - 1, j - 1]) + 1
 
     def row(self, i: int) -> tuple[int, ...]:
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"label {i} outside 1..{self.n}")
-        return self.rows[i - 1]
+        return tuple((self.array[i - 1] + 1).tolist())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QuandleTable) and self.rows == other.rows
+        return isinstance(other, QuandleTable) and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.array.tobytes())
 
     def __repr__(self) -> str:
         return f"QuandleTable(order={self.n})"
@@ -366,7 +385,7 @@ def right_translation(q: QuandleTable, i: int) -> Permutation:
     """The permutation R_i: j -> j * i, i.e. column i of the table."""
     if not 1 <= i <= q.n:
         raise IndexOutOfRange(f"label {i} outside 1..{q.n}")
-    return Permutation(row[i - 1] for row in q.rows)
+    return Permutation((q.array[:, i - 1] + 1).tolist())
 
 
 def translations(q: QuandleTable) -> tuple[Permutation, ...]:
@@ -384,21 +403,17 @@ def from_translations(perms: Sequence[Permutation]) -> QuandleTable:
     n = len(perms)
     if n == 0 or any(p.n != n for p in perms):
         raise ParamOutOfRange("need n permutations of degree n")
-    imgs = [p.image for p in perms]
-    invs = [p.inverse().image for p in perms]
+    tbl = np.array([p.image for p in perms]).T - 1  # column i - 1 is R_i
+    inv = np.argsort(tbl, axis=0)
     for i in range(n):
-        ri, ri_inv = imgs[i], invs[i]
-        for j in range(n):
-            rj = imgs[j]
-            target = imgs[imgs[i][j] - 1]
-            for x in range(n):
-                if target[x] != ri[rj[ri_inv[x] - 1] - 1]:
-                    raise ConjugationViolation(i + 1, j + 1)
-    for i in range(n):
-        if imgs[i][i] != i + 1:
-            raise FixedPointMissing(i + 1)
-    rows = [[imgs[i][j] for i in range(n)] for j in range(n)]
-    return QuandleTable.from_rows(rows)
+        # column j: R_(j*i) against R_i R_j R_i^-1, compared at every point
+        bad = np.flatnonzero((tbl[:, tbl[:, i]] != tbl[tbl[inv[:, i]], i]).any(axis=0))
+        if bad.size:
+            raise ConjugationViolation(i + 1, int(bad[0]) + 1)
+    bad = np.flatnonzero(tbl.diagonal() != np.arange(n))
+    if bad.size:
+        raise FixedPointMissing(int(bad[0]) + 1)
+    return QuandleTable.from_rows((tbl + 1).tolist())
 
 
 def _decimal_ints(text: str) -> list[int]:
@@ -463,7 +478,7 @@ def format_qdl(q: QuandleTable, comments: Iterable[str] = ()) -> str:
     """Serialize to canonical .qdl text (optional leading comment lines)."""
     out = [f"# {c}" for c in comments]
     out.append(str(q.n))
-    out.extend(" ".join(map(str, row)) for row in q.rows)
+    out.extend(" ".join(map(str, row)) for row in (q.array + 1).tolist())
     return "\n".join(out) + "\n"
 
 

@@ -301,7 +301,7 @@ class _Searcher:
         if prof.connected_form is None or prof.connected_form.lengths != self.lengths:
             return  # cannot happen: structures are forced; kept as a guard
         counters["conn"] += 1
-        found.append(q.rows)
+        found.append(tuple(rows))
 
 
 def _worker(args):

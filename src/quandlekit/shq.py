@@ -18,17 +18,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from math import lcm
 
 import numpy as np
 
-from .core import (
-    CycleStructure,
-    Permutation,
-    QuandleTable,
-    right_translation,
-    translations,
-)
+from .core import CycleStructure, Permutation, QuandleTable, _cycles, _power
 from .errors import (
     NotAPartition,
     NotCanonicalForm,
@@ -92,10 +85,10 @@ def _shq_shape(lengths) -> str | None:
 
 def classify_shq(q: QuandleTable) -> ShqParams | None:
     """ShqParams when q is an SHQ, else None."""
-    structures = {p.cycle_structure() for p in translations(q)}
+    structures = profile(q).structures
     if len(structures) != 1:
         return None
-    lengths = structures.pop().lengths
+    lengths = structures[0].lengths
     if _shq_shape(lengths) is not None:
         return None
     ell = lengths[1]
@@ -231,20 +224,18 @@ def canonical_relabel(q: QuandleTable) -> tuple[QuandleTable, CanonicalDecomposi
     distinct), each traversed from its smallest label, and numbered
     consecutively.  The unique fixed point keeps label 1.
     """
-    r1 = right_translation(q, 1)
-    cycs = r1.cycles()
-    if len({len(c) for c in cycs}) != len(cycs):
+    cycs = _cycles(q.array[:, 0].tolist())
+    lengths = sorted(map(len, cycs))
+    if len(set(lengths)) != len(lengths):
         raise NotRelabelable(
-            f"translation 1 has repeated cycle lengths: {r1.cycle_structure()}"
+            f"translation 1 has repeated cycle lengths: {CycleStructure(tuple(lengths))}"
         )
-    order = [x for cyc in sorted(cycs, key=len) for x in cyc]
-    img = [0] * q.n
-    for new, orig in enumerate(order, start=1):
-        img[orig - 1] = new
-    sigma = Permutation(img)
-    old = np.array(order) - 1  # old[a] = the label that a replaces, 0-based
-    out = QuandleTable._from_array((np.array(img) - 1)[q.array[np.ix_(old, old)]])
-    decomp = CanonicalDecomposition.from_lengths(sorted(len(c) for c in cycs), sigma)
+    # old[a] = the label that a replaces, 0-based; img is its inverse
+    old = np.array([x for cyc in sorted(cycs, key=len) for x in cyc])
+    img = np.empty(q.n, dtype=np.int32)
+    img[old] = np.arange(q.n)
+    out = QuandleTable._from_array(img[q.array[np.ix_(old, old)]])
+    decomp = CanonicalDecomposition.from_lengths(lengths, Permutation((img + 1).tolist()))
     if not _has_canonical_r1(out, decomp.lengths):
         raise NotCanonicalForm("relabeling failed to produce block form")  # bug guard
     return out, decomp
@@ -252,8 +243,7 @@ def canonical_relabel(q: QuandleTable) -> tuple[QuandleTable, CanonicalDecomposi
 
 def decomposition_of(q: QuandleTable) -> CanonicalDecomposition:
     """Decomposition of a table already in canonical form."""
-    r1 = right_translation(q, 1)
-    lengths = sorted(len(c) for c in r1.cycles())
+    lengths = sorted(map(len, _cycles(q.array[:, 0].tolist())))
     if not _has_canonical_r1(q, lengths):
         raise NotCanonicalForm(
             "translation 1 is not the canonical block permutation; "
@@ -275,17 +265,15 @@ def check_conjugation_relations(q: QuandleTable) -> ConjugationCheck:
     """Check that every translation is the forced conjugate of its block
     generator; q must be canonical."""
     decomp = decomposition_of(q)
-    trans = translations(q)
-    r1 = trans[0]
-    r1_inv = r1.inverse()
+    tbl = q.array  # column x - 1 is R_x
+    r1 = tbl[:, 0]
+    r1_inv = np.argsort(r1)
     for i in range(2, decomp.c + 1):
-        ell_i = decomp.ell(i)
         n_prev = decomp.ns[i - 2]
-        gen = trans[decomp.ns[i - 1] - 1]
-        conj = gen
-        for k in range(1, ell_i + 1):
-            conj = r1 * conj * r1_inv  # = R_1^k R_(n_i) R_1^(-k)
-            if trans[n_prev + k - 1] != conj:
+        conj = tbl[:, decomp.ns[i - 1] - 1]
+        for k in range(1, decomp.ell(i) + 1):
+            conj = r1[conj[r1_inv]]  # = R_1^k R_(n_i) R_1^(-k)
+            if not np.array_equal(tbl[:, n_prev + k - 1], conj):
                 return ConjugationCheck(False, (i, k))
     return ConjugationCheck(True)
 
@@ -319,9 +307,9 @@ def fix_blocks(q: QuandleTable, exponent: int) -> FixBlockPartition:
         raise ParamOutOfRange(f"exponent must be positive, got {exponent}")
     decomposition_of(q)  # canonical form required
     distinct: dict[frozenset[int], int] = {}
-    for x in range(1, q.n + 1):
-        p = right_translation(q, x) ** exponent
-        fset = frozenset(p.fixed_points())
+    for col in q.array.T.tolist():
+        # Fix(R_x^e) is the union of the cycles of R_x whose length divides e
+        fset = frozenset(y + 1 for c in _cycles(col) if exponent % len(c) == 0 for y in c)
         if fset not in distinct:
             distinct[fset] = min(fset)
     covered: set[int] = set()
@@ -355,16 +343,11 @@ class LcmCheck:
 def check_lcm_divisibility(q: QuandleTable) -> LcmCheck:
     """Check the lcm divisibility law on a canonical table."""
     decomp = decomposition_of(q)
-    block_len = (0,) + _label_block_lengths(decomp.lengths)  # indexed by label
-    bad = []
-    for x in range(1, q.n + 1):
-        row = q.rows[x - 1]
-        lx = block_len[x]
-        for y in range(1, q.n + 1):
-            v = row[y - 1]
-            if lcm(lx, block_len[y]) % block_len[v]:
-                bad.append((x, y, v))
-    return LcmCheck(q.n * q.n, tuple(bad))
+    block_len = np.array(_label_block_lengths(decomp.lengths))  # by 0-based label
+    bad = np.argwhere(np.lcm.outer(block_len, block_len) % block_len[q.array] != 0)
+    return LcmCheck(
+        q.n * q.n, tuple((x + 1, y + 1, int(q.array[x, y]) + 1) for x, y in bad.tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -528,10 +511,11 @@ def fix_block_report(q: QuandleTable) -> FixBlockReport:
         top_block = set(decomp.block(m))
         if not fpart.block_of(n_m) <= top_block:
             bad.append(f"prefix X_{m}: F_{n_m} escapes L_{m}")
+        cols = ambient.array.T.tolist()
         for rep, blk in sorted(bpart.blocks.items()):
-            base = (right_translation(ambient, rep)) ** ell
+            base = _power(cols[rep - 1], ell)
             for y in sorted(blk):
-                if (right_translation(ambient, y)) ** ell != base:
+                if _power(cols[y - 1], ell) != base:
                     bad.append(f"prefix X_{m}: R_{y}^{ell} differs inside B_{rep}")
         if m >= 3:
             step = ell * (ell + 1) ** (m - 3)

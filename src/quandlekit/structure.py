@@ -18,7 +18,7 @@ from .core import (
     QuandleTable,
     ValidationResult,
     _close_mask,
-    right_translation,
+    _cycles,
 )
 from .errors import (
     IndexOutOfRange,
@@ -54,24 +54,24 @@ class Profile:
 
 def orbits(q: QuandleTable) -> tuple[tuple[int, ...], ...]:
     """Orbit partition under the group generated by all right translations."""
-    parent = list(range(q.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, row in enumerate(q.rows):
-        # row x lists x * j for every j, so x joins each of its products
-        for v in row:
-            rx, rv = find(x), find(v - 1)
-            if rx != rv:
-                parent[rv] = rx
-    groups: dict[int, list[int]] = {}
-    for x in range(q.n):
-        groups.setdefault(find(x), []).append(x + 1)
-    return tuple(tuple(g) for g in sorted(groups.values()))
+    tbl = q.array
+    left = np.ones(q.n, dtype=bool)
+    out = []
+    while left.any():
+        # the orbit of the smallest label left: grow it by the rows of its
+        # members, since row x lists x * j for every j
+        orbit = np.zeros(q.n, dtype=bool)
+        orbit[left.argmax()] = True
+        size = 1
+        while True:
+            orbit[tbl[orbit].ravel()] = True
+            grown = int(orbit.sum())
+            if grown == size:
+                break
+            size = grown
+        left &= ~orbit
+        out.append(tuple((np.flatnonzero(orbit) + 1).tolist()))
+    return tuple(out)
 
 
 def is_connected(q: QuandleTable) -> bool:
@@ -81,14 +81,18 @@ def is_connected(q: QuandleTable) -> bool:
 
 def is_latin(q: QuandleTable) -> bool:
     """True when every row is also a bijection (left translations invert)."""
-    full = list(range(1, q.n + 1))
-    return all(sorted(row) == full for row in q.rows)
+    return bool((np.sort(q.array, axis=1) == np.arange(q.n)).all())
+
+
+def _cycle_lengths(q: QuandleTable) -> list[tuple[int, ...]]:
+    """Sorted cycle lengths of each right translation, i.e. of each column."""
+    return [tuple(sorted(map(len, _cycles(col)))) for col in q.array.T.tolist()]
 
 
 def profile(q: QuandleTable) -> Profile:
     """Profile of q; raises ProfileInconsistency if a connected table's
     translations disagree (impossible for a valid table, kept as a guard)."""
-    structures = [right_translation(q, i).cycle_structure() for i in range(1, q.n + 1)]
+    structures = [CycleStructure(lengths) for lengths in _cycle_lengths(q)]
     if is_connected(q):
         first = structures[0]
         for i, s in enumerate(structures[1:], start=2):
@@ -305,12 +309,7 @@ def enumerate_subquandles(
 def _element_invariants(q: QuandleTable) -> list[tuple]:
     """Cheap per-element isomorphism invariant: translation cycle lengths
     plus fixed-point count."""
-    out = []
-    for i in range(1, q.n + 1):
-        p = right_translation(q, i)
-        lengths = tuple(sorted(len(c) for c in p.cycles()))
-        out.append((lengths, len(p.fixed_points())))
-    return out
+    return [(lengths, lengths.count(1)) for lengths in _cycle_lengths(q)]
 
 
 def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
@@ -327,16 +326,16 @@ def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
     inv2 = _element_invariants(q2)
     if sorted(inv1) != sorted(inv2):
         return None
-    t1 = q1.rows
-    t2 = q2.rows
+    t1 = q1.array.tolist()
+    t2 = q2.array.tolist()
     buckets: dict[tuple, list[int]] = {}
-    for v in range(1, n + 1):
-        buckets.setdefault(inv2[v - 1], []).append(v)
-    cands = {x: buckets[inv1[x - 1]] for x in range(1, n + 1)}
-    order = sorted(range(1, n + 1), key=lambda x: (len(cands[x]), x))
+    for v in range(n):
+        buckets.setdefault(inv2[v], []).append(v)
+    cands = [buckets[inv1[x]] for x in range(n)]
+    order = sorted(range(n), key=lambda x: (len(cands[x]), x))
 
-    fwd = [0] * (n + 1)
-    bwd = [0] * (n + 1)
+    fwd = [-1] * n
+    bwd = [-1] * n
     assigned: list[int] = []  # domain elements in assignment order
 
     def assign(x: int, v: int, trail: list[int]) -> bool:
@@ -344,11 +343,11 @@ def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
         while stack:
             a, b = stack.pop()
             cur = fwd[a]
-            if cur:
+            if cur >= 0:
                 if cur != b:
                     return False
                 continue
-            if bwd[b] or inv1[a - 1] != inv2[b - 1]:
+            if bwd[b] >= 0 or inv1[a] != inv2[b]:
                 return False
             fwd[a] = b
             bwd[b] = a
@@ -358,26 +357,26 @@ def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
             while i < len(assigned):
                 c = assigned[i]
                 d = fwd[c]
-                stack.append((t1[a - 1][c - 1], t2[b - 1][d - 1]))
-                stack.append((t1[c - 1][a - 1], t2[d - 1][b - 1]))
+                stack.append((t1[a][c], t2[b][d]))
+                stack.append((t1[c][a], t2[d][b]))
                 i += 1
         return True
 
     def undo(trail: list[int]) -> None:
         for a in reversed(trail):
             b = fwd[a]
-            fwd[a] = 0
-            bwd[b] = 0
+            fwd[a] = -1
+            bwd[b] = -1
             assigned.pop()  # trail order matches append order
 
     def backtrack(pos: int) -> bool:
-        while pos < n and fwd[order[pos]]:
+        while pos < n and fwd[order[pos]] >= 0:
             pos += 1
         if pos == n:
             return True
         x = order[pos]
         for v in cands[x]:
-            if bwd[v]:
+            if bwd[v] >= 0:
                 continue
             trail: list[int] = []
             if assign(x, v, trail) and backtrack(pos + 1):
@@ -387,9 +386,7 @@ def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
 
     if not backtrack(0):
         return None
-    f = Permutation(fwd[1:])
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if f(t1[x - 1][y - 1]) != t2[f(x) - 1][f(y) - 1]:
-                return None  # unreachable; guards the propagation logic
-    return f
+    f = np.array(fwd)
+    if not np.array_equal(f[q1.array], q2.array[np.ix_(f, f)]):
+        return None  # unreachable; guards the propagation logic
+    return Permutation((f + 1).tolist())

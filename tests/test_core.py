@@ -30,6 +30,7 @@ from quandlekit import (
     write_qdl,
 )
 from quandlekit import core
+from quandlekit.cli import main
 from conftest import FIXTURES, Q94_ROWS, dihedral_quandle, relabel, trivial_quandle
 
 
@@ -437,6 +438,51 @@ class TestQdlFormat:
         elif len(token.split()) == 1:
             with pytest.raises(ParseError, match="line 2"):
                 parse_qdl(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        relabelled_rows(),
+        st.lists(st.sampled_from(["c", "a comment"]), max_size=2),
+        st.sampled_from(["token", "count", "truncate", "extra"]),
+        st.data(),
+    )
+    def test_round_trip_and_mutated_lines(self, tmp_path_factory, rows, comments, mutation, data):
+        q = QuandleTable.from_rows(rows)
+        text = format_qdl(q, comments)
+        assert parse_qdl(text) == q
+        assert format_qdl(parse_qdl(text), comments) == text
+        lines = text.splitlines()
+        first = len(comments) + 1  # the header's line number
+        if mutation == "token":
+            line = data.draw(st.integers(first, len(lines)))
+            tokens = lines[line - 1].split()
+            bad = data.draw(st.sampled_from(["x", "+1", "1_0", "1.0", "٣", "--1", "0x1"]))
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = bad
+            lines[line - 1] = " ".join(tokens)
+        elif mutation == "count":
+            line = data.draw(st.integers(first, len(lines)))
+            tokens = lines[line - 1].split()
+            if len(tokens) > 1 and data.draw(st.booleans()):
+                tokens.pop(data.draw(st.integers(0, len(tokens) - 1)))
+            else:
+                tokens.append("1")
+            lines[line - 1] = " ".join(tokens)
+        elif mutation == "truncate":
+            # the file ends at or inside this line, and loses at least one entry
+            line = data.draw(st.integers(first, len(lines) - (len(lines[-1].split()) == 1)))
+            tokens = lines[line - 1].split()
+            keep = data.draw(st.integers(1, len(tokens) - (line == len(lines))))
+            lines = lines[: line - 1] + [" ".join(tokens[:keep])]
+        else:
+            line = len(lines) + 1
+            lines.append(data.draw(st.sampled_from(["1", "x", "1 2 3"])))
+        mutated = "\n".join(lines) + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_qdl(mutated)
+        assert exc.value.line == line
+        path = tmp_path_factory.mktemp("qdl") / "t.qdl"
+        path.write_text(mutated)
+        assert main(["validate", str(path)]) == 2
 
     def test_negative_entry_reaches_validation(self):
         with pytest.raises(InvalidQuandleError) as exc:

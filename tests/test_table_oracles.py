@@ -1,0 +1,282 @@
+"""The array forms of the structure and SHQ checks against reference oracles.
+
+The library reads every table through `q.array`, whose column x - 1 is the
+right translation R_x.  The reference_* functions below are the scalar
+forms it used before: they read `q.rows` or build 1-based `Permutation`
+objects with `right_translation`.  The hypothesis tests compare the two on
+relabelled affine, family, trivial and dihedral tables, on their canonical
+forms, and on unchecked copies of those with two columns or two entries of
+a column swapped, which make the partition and conjugation checks fail.
+"""
+
+import random
+import sys
+from math import lcm
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quandlekit import (
+    ConjugationCheck,
+    ConjugationViolation,
+    FixBlockPartition,
+    FixedPointMissing,
+    LcmCheck,
+    NotAPartition,
+    NotCanonicalForm,
+    NotRelabelable,
+    ParamOutOfRange,
+    Permutation,
+    Profile,
+    ProfileInconsistency,
+    QuandleTable,
+    are_isomorphic,
+    canonical_relabel,
+    check_conjugation_relations,
+    check_lcm_divisibility,
+    enumerate_subquandles,
+    fix_block_report,
+    fix_blocks,
+    from_translations,
+    is_connected,
+    is_latin,
+    orbits,
+    profile,
+    right_translation,
+    shq_family,
+    translations,
+    verify_main_theorem,
+)
+from conftest import dihedral_quandle, relabel
+from test_core import relabelled_rows
+
+
+def reference_orbits(q: QuandleTable) -> tuple[tuple[int, ...], ...]:
+    """Union-find over q.rows: x joins every product x * j."""
+    parent = list(range(q.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, row in enumerate(q.rows):
+        for v in row:
+            rx, rv = find(x), find(v - 1)
+            if rx != rv:
+                parent[rv] = rx
+    groups: dict[int, list[int]] = {}
+    for x in range(q.n):
+        groups.setdefault(find(x), []).append(x + 1)
+    return tuple(tuple(g) for g in sorted(groups.values()))
+
+
+def reference_is_latin(q: QuandleTable) -> bool:
+    full = list(range(1, q.n + 1))
+    return all(sorted(row) == full for row in q.rows)
+
+
+def reference_profile(q: QuandleTable) -> Profile:
+    structures = [right_translation(q, i).cycle_structure() for i in range(1, q.n + 1)]
+    if len(reference_orbits(q)) == 1:
+        first = structures[0]
+        for i, s in enumerate(structures[1:], start=2):
+            if s != first:
+                raise ProfileInconsistency(
+                    f"connected table with differing structures at 1 and {i}"
+                )
+        return Profile((first,), first)
+    return Profile(tuple(sorted(set(structures))), None)
+
+
+def reference_block_lengths(q: QuandleTable) -> list[int]:
+    """R_1's cycle lengths; NotCanonicalForm unless R_1 is the block permutation."""
+    r1 = right_translation(q, 1)
+    lengths = sorted(len(c) for c in r1.cycles())
+    canonical, lo = [], 0
+    for length in lengths:
+        canonical += list(range(lo + 2, lo + length + 1)) + [lo + 1]
+        lo += length
+    if list(r1.image) != canonical:
+        raise NotCanonicalForm(
+            "translation 1 is not the canonical block permutation; "
+            "use canonical_relabel first"
+        )
+    return lengths
+
+
+def reference_fix_blocks(q: QuandleTable, exponent: int) -> FixBlockPartition:
+    if exponent < 1:
+        raise ParamOutOfRange(f"exponent must be positive, got {exponent}")
+    reference_block_lengths(q)
+    distinct: dict[frozenset[int], int] = {}
+    for x in range(1, q.n + 1):
+        p = right_translation(q, x) ** exponent
+        fset = frozenset(p.fixed_points())
+        if fset not in distinct:
+            distinct[fset] = min(fset)
+    covered: set[int] = set()
+    for fset in distinct:
+        if covered & fset:
+            raise NotAPartition(
+                f"fixed-point sets of R_x^{exponent} overlap: {sorted(fset)}"
+            )
+        covered |= fset
+    if covered != set(range(1, q.n + 1)):
+        raise NotAPartition(f"fixed-point sets of R_x^{exponent} do not cover 1..{q.n}")
+    sizes = {len(f) for f in distinct}
+    if len(sizes) != 1:
+        raise NotAPartition(f"fixed-point blocks have unequal sizes {sorted(sizes)}")
+    return FixBlockPartition(exponent, {rep: fset for fset, rep in distinct.items()})
+
+
+def reference_conjugation(q: QuandleTable) -> ConjugationCheck:
+    lengths = reference_block_lengths(q)
+    ns = [sum(lengths[:i]) for i in range(1, len(lengths) + 1)]
+    trans = translations(q)
+    r1 = trans[0]
+    r1_inv = r1.inverse()
+    for i in range(2, len(lengths) + 1):
+        conj = trans[ns[i - 1] - 1]
+        for k in range(1, lengths[i - 1] + 1):
+            conj = r1 * conj * r1_inv
+            if trans[ns[i - 2] + k - 1] != conj:
+                return ConjugationCheck(False, (i, k))
+    return ConjugationCheck(True)
+
+
+def reference_lcm(q: QuandleTable) -> LcmCheck:
+    lengths = reference_block_lengths(q)
+    block_len = (0,) + tuple(x for x in lengths for _ in range(x))  # by label
+    bad = []
+    for x in range(1, q.n + 1):
+        row = q.rows[x - 1]
+        for y in range(1, q.n + 1):
+            v = row[y - 1]
+            if lcm(block_len[x], block_len[y]) % block_len[v]:
+                bad.append((x, y, v))
+    return LcmCheck(q.n * q.n, tuple(bad))
+
+
+def reference_from_translations(perms) -> QuandleTable:
+    n = len(perms)
+    imgs = [p.image for p in perms]
+    invs = [p.inverse().image for p in perms]
+    for i in range(n):
+        for j in range(n):
+            target = imgs[imgs[i][j] - 1]
+            for x in range(n):
+                if target[x] != imgs[i][imgs[j][invs[i][x] - 1] - 1]:
+                    raise ConjugationViolation(i + 1, j + 1)
+    for i in range(n):
+        if imgs[i][i] != i + 1:
+            raise FixedPointMissing(i + 1)
+    return QuandleTable.from_rows([[imgs[i][j] for i in range(n)] for j in range(n)])
+
+
+def outcome(fn, *args):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc).__name__, str(exc)
+
+
+# a random relabelling of an affine, family, trivial or even-order dihedral
+# table, order <= 40
+relabelled_tables = relabelled_rows().map(QuandleTable.from_rows)
+
+
+@st.composite
+def canonical_tables(draw):
+    """The canonical form of a relabelled table when it has one, else the
+    table itself; then, unchecked, one change to the translations other than
+    R_1: two of them swapped, two entries of one swapped, or one replaced by
+    a random permutation."""
+    q = draw(relabelled_tables)
+    try:
+        q = canonical_relabel(q)[0]
+    except NotRelabelable:
+        pass
+    t = np.array(q.array)
+    mutation = draw(st.sampled_from(["none", "columns", "entries", "permutation"]))
+    if mutation != "none" and q.n >= 3:
+        a, b = draw(st.lists(st.integers(1, q.n - 1), min_size=2, max_size=2, unique=True))
+        if mutation == "columns":
+            t[:, [a, b]] = t[:, [b, a]]
+        elif mutation == "entries":
+            x, y = draw(st.lists(st.integers(0, q.n - 1), min_size=2, max_size=2, unique=True))
+            t[[x, y], a] = t[[y, x], a]
+        else:
+            t[:, a] = draw(st.permutations(range(q.n)))
+    return QuandleTable._from_array(t)
+
+
+class TestArrayFormsMatchReference:
+    @settings(max_examples=80, deadline=None)
+    @given(relabelled_tables)
+    def test_structure(self, q):
+        assert orbits(q) == reference_orbits(q)
+        assert is_connected(q) == (len(reference_orbits(q)) == 1)
+        assert is_latin(q) == reference_is_latin(q)
+        assert profile(q) == reference_profile(q)
+
+    @settings(max_examples=120, deadline=None)
+    @given(canonical_tables(), st.integers(0, 14))
+    def test_shq_checks(self, q, exponent):
+        assert outcome(profile, q) == outcome(reference_profile, q)
+        assert outcome(fix_blocks, q, exponent) == outcome(reference_fix_blocks, q, exponent)
+        assert outcome(check_conjugation_relations, q) == outcome(reference_conjugation, q)
+        assert outcome(check_lcm_divisibility, q) == outcome(reference_lcm, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relabelled_tables, st.sampled_from(["none", "swap", "replace", "constant"]), st.data()
+    )
+    def test_from_translations(self, q, mutation, data):
+        perms = list(translations(q))
+        if mutation == "swap":
+            i, j = data.draw(st.integers(0, q.n - 1)), data.draw(st.integers(0, q.n - 1))
+            perms[i], perms[j] = perms[j], perms[i]
+        elif mutation == "replace":
+            i = data.draw(st.integers(0, q.n - 1))
+            perms[i] = Permutation(data.draw(st.permutations(range(1, q.n + 1))))
+        elif mutation == "constant":  # conjugation holds, fixed points may not
+            perms = [Permutation(data.draw(st.permutations(range(1, q.n + 1))))] * q.n
+        assert outcome(from_translations, perms) == outcome(reference_from_translations, perms)
+
+
+class TestIsomorphismMaps:
+    def test_search_order_is_pinned(self, q94):
+        # which isomorphism comes back depends on the search order; these are
+        # the maps the 1-based, rows-reading search returned
+        sigma = Permutation([4, 9, 1, 7, 2, 8, 5, 3, 6])
+        assert are_isomorphic(q94, relabel(q94, sigma)).image == (1, 4, 9, 3, 5, 7, 6, 8, 2)
+        q = shq_family(3, 3)
+        tau = Permutation([(7 * x) % 10 for x in range(1, 10)])
+        assert are_isomorphic(relabel(q, tau), q).image == (1, 4, 7, 3, 6, 9, 5, 8, 2)
+        d = dihedral_quandle(6)
+        rho = Permutation([2, 4, 6, 1, 3, 5])
+        assert are_isomorphic(d, relabel(d, rho)).image == (1, 3, 5, 2, 4, 6)
+
+
+class TestLibraryBuildsNoPermutations:
+    def test_no_right_translation_calls(self, monkeypatch):
+        calls = []
+        real = right_translation
+        spy = lambda q, i: calls.append(i) or real(q, i)  # noqa: E731
+        for name, mod in list(sys.modules.items()):
+            bound = getattr(mod, "right_translation", None)
+            if name.split(".")[0] == "quandlekit" and bound is real:
+                monkeypatch.setattr(mod, "right_translation", spy)
+        image = list(range(1, 28))
+        random.Random(7).shuffle(image)
+        q = relabel(shq_family(3, 4), Permutation(image))
+        assert verify_main_theorem(q).all_passed
+        assert fix_block_report(q).passed
+        assert len(enumerate_subquandles(q).entries) == 40
+        assert calls == []
+        translations(q)
+        assert len(calls) == q.n  # the spy sees calls through the package
