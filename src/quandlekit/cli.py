@@ -27,7 +27,7 @@ from .errors import (
     QuandleKitError,
 )
 from .search import SearchSpec, save_search_result, search_by_profile, search_manifest
-from .shq import check_profile_admissible, classify_shq, verify_main_theorem
+from .shq import _classify, check_profile_admissible, verify_main_theorem
 from .structure import enumerate_subquandles, is_latin, profile
 
 
@@ -78,7 +78,7 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     q = _load(args.path)
     prof = profile(q)
-    params = classify_shq(q)
+    params = _classify(prof)
     report = {
         "schema": "quandlekit.analyze/1",
         "order": q.n,

@@ -6,9 +6,16 @@ other translation is a power-of-R_1 conjugate of one of the c-1 block
 generators R_(n_i).  The search therefore fixes R_1, enumerates candidate
 generators (permutations with the target cycle structure fixing their own
 index), derives the remaining translations by conjugation, and keeps the
-tuples that satisfy the conjugation closure, validate as quandles, are
+tables that satisfy the conjugation closure, validate as quandles, are
 connected, and match the profile.  Filters run cheapest first; the survivors
 at each stage are reported for tuning.
+
+Permutations are 0-based integer arrays, the column form of QuandleTable.array:
+a block's candidates are the rows of one (K, n) array, its translations are
+gathers by powers of R_1, and a partial table keeps R_u in column u.  One
+batched check, _closed, tests the conjugation closure on a stack of partial
+tables: the unary filter calls it on R_1 and one block, the depth-first tree
+on the assigned prefix.
 
 naive_connected_quandles is the independent reference for tiny orders: plain
 depth-first assignment of columns with direct axiom checks, sharing nothing
@@ -23,20 +30,28 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import comb, factorial, lcm
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
 
-from .core import QuandleTable, format_qdl
-from .errors import ParamOutOfRange, RepeatedLengthsUnsupported, SizeLimitExceeded
+from .core import QuandleTable, _power, format_qdl, validate_quandle
+from .errors import (
+    InvalidQuandleError,
+    ParamOutOfRange,
+    RepeatedLengthsUnsupported,
+    SizeLimitExceeded,
+)
 from .limits import DEFAULT_SEARCH_CAP, resolve_cap
 from .shq import _block_bounds, _canonical_r1, _label_block_lengths
-from .structure import are_isomorphic, is_connected, profile
+from .structure import _group_isomorphic, is_connected, profile
 
 # Candidate generators are materialized per block; past this count the
 # enumeration would dominate memory and time, so the search refuses upfront.
 _RAW_CANDIDATE_LIMIT = 1_000_000
+# Raw candidates are filtered this many rows at a time, which bounds the
+# memory of the partial tables the closure check reads.
+_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -100,24 +115,8 @@ class SearchResult:
     stats: SearchStats
 
 
-def _compose(p, q):
-    return tuple(p[v] for v in q)
-
-
-def _inverse(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def _conj(s, s_inv, x):
-    """s o x o s^-1 as an image tuple."""
-    return tuple(s[x[s_inv[j]]] for j in range(len(x)))
-
-
 def _candidate_count(n: int, lengths) -> int:
-    """Number of image tuples _cycle_candidates would produce, closed form."""
+    """Number of rows _cycle_candidates produces, closed form."""
     remaining = n - 1
     count = 1
     for length in (x for x in lengths if x > 1):
@@ -126,17 +125,22 @@ def _candidate_count(n: int, lengths) -> int:
     return count
 
 
-def _cycle_candidates(n: int, lengths, fixed: int):
-    """All image tuples with cycle type `lengths` whose unique fixed point is
-    `fixed`, in deterministic order."""
-    rest = [x for x in range(n) if x != fixed]
+def _cycle_candidates(n: int, lengths, fixed: int) -> np.ndarray:
+    """All 0-based images with cycle type `lengths` whose unique fixed point
+    is `fixed`, one per row, in deterministic order.
+
+    int8 holds every label: _RAW_CANDIDATE_LIMIT refuses every order past 12.
+    """
+    out = np.empty((_candidate_count(n, lengths), n), dtype=np.int8)
     big = [x for x in lengths if x > 1]
-    out = []
     img = list(range(n))
+    row = 0
 
     def rec(level: int, remaining: tuple[int, ...]):
+        nonlocal row
         if level == len(big):
-            out.append(tuple(img))
+            out[row] = img
+            row += 1
             return
         length = big[level]
         for subset in itertools.combinations(remaining, length):
@@ -149,151 +153,121 @@ def _cycle_candidates(n: int, lengths, fixed: int):
                 rec(level + 1, left)
                 for a in cyc:
                     img[a] = a
-        return
 
-    rec(0, tuple(rest))
+    rec(0, tuple(x for x in range(n) if x != fixed))
     return out
+
+
+def _closed(tables: np.ndarray, labels) -> np.ndarray:
+    """Indices of the partial tables in a stack that satisfy the conjugation
+    closure on `labels`.
+
+    tables is a (B, n, n) stack whose column u is the translation R_u for
+    every u in labels; no other column is read as a translation.  Table b is
+    kept when R_(v*u) = R_u R_v R_u^-1 for all u, v in labels with v*u in
+    labels.  The relation is compared pointwise as (y*u)*(v*u) = (y*v)*u for
+    every y, which needs no inverse.  Tables drop out at the first failing u.
+    """
+    labels = np.asarray(labels)
+    inside = np.zeros(tables.shape[1], dtype=bool)
+    inside[labels] = True
+    keep = np.arange(len(tables))
+    for u in labels:
+        t = tables[keep]
+        b = np.arange(len(t))[:, None, None]
+        v_u = t[:, labels, u]  # (B, m): v*u
+        lhs = t[b, t[:, :, u, None], v_u[:, None, :]]  # (y*u)*(v*u)
+        rhs = t[b, t[:, :, labels], u]  # (y*v)*u
+        keep = keep[((lhs == rhs) | ~inside[v_u][:, None, :]).all(axis=(1, 2))]
+    return keep
 
 
 class _Searcher:
     def __init__(self, lengths: tuple[int, ...]):
         self.lengths = lengths
-        self.c = len(lengths)
         self.n = sum(lengths)
-        self.ns = _block_bounds(lengths)
-        self.r1 = _canonical_r1(lengths)
-        self.r1_inv = _inverse(self.r1)
-        top = max(lengths)
-        pows = [tuple(range(self.n))]
-        for _ in range(top):
-            pows.append(_compose(self.r1, pows[-1]))
-        self.r1_pows = pows
-        self.r1_pows_inv = [_inverse(p) for p in pows]
-        self.block_len = _label_block_lengths(lengths)
+        per_block = _candidate_count(self.n, lengths)
+        if per_block > _RAW_CANDIDATE_LIMIT:
+            raise SizeLimitExceeded(
+                f"profile {lengths} needs {per_block} candidate generators "
+                f"per block, beyond the supported {_RAW_CANDIDATE_LIMIT}"
+            )
+        self.ns = (0,) + _block_bounds(lengths)
+        r1 = _canonical_r1(lengths)
+        self.r1_pow = {
+            k: np.array(_power(r1, k), dtype=np.int8)
+            for k in range(-max(lengths), max(lengths) + 1)
+        }
+        self.block_len = np.array(_label_block_lengths(lengths))
         self.raw_counts: list[int] = []
         self.unary_counts: list[int] = []
-        self.filtered: list[list[tuple]] = []  # per level: (placements,)
+        # per block: the surviving translations of the block, as (K, n, l) columns
+        self.filtered: list[np.ndarray] = []
+
+    def block_tables(self, level: int, cands: np.ndarray) -> np.ndarray:
+        """One partial table per generator candidate of block level + 2.
+
+        Column 0 is R_1; column lo + k - 1 of the block holds R_1^k g R_1^-k,
+        the gather g[R_1^-k] mapped through R_1^k; other columns are 0.
+        """
+        lo, hi = self.ns[level + 1], self.ns[level + 2]
+        out = np.zeros((len(cands), self.n, self.n), dtype=np.int8)
+        out[:, :, 0] = self.r1_pow[1]
+        for k in range(1, hi - lo + 1):
+            out[:, :, lo + k - 1] = self.r1_pow[k][cands[:, self.r1_pow[-k]]]
+        return out
 
     def prepare(self):
         """Enumerate and unary-filter the generator candidates per block."""
-        per_block = _candidate_count(self.n, self.lengths)
-        if per_block > _RAW_CANDIDATE_LIMIT:
-            raise SizeLimitExceeded(
-                f"profile {self.lengths} needs {per_block} candidate generators "
-                f"per block, beyond the supported {_RAW_CANDIDATE_LIMIT}"
-            )
-        for i in range(2, self.c + 1):
-            ell = self.lengths[i - 1]
-            gen_pos = self.ns[i - 1] - 1
-            lo = self.ns[i - 2]
-            block = range(lo, self.ns[i - 1])
-            raw = _cycle_candidates(self.n, self.lengths, gen_pos)
-            self.raw_counts.append(len(raw))
+        for level in range(len(self.lengths) - 1):
+            lo, hi = self.ns[level + 1], self.ns[level + 2]
+            ell = hi - lo
+            s = self.r1_pow[ell]
+            need = np.lcm(self.block_len, ell)
+            labels = [0, *range(lo, hi)]
+            raw = _cycle_candidates(self.n, self.lengths, hi - 1)
             keep = []
-            s, s_inv = self.r1_pows[ell], self.r1_pows_inv[ell]
-            for cand in raw:
-                if _conj(s, s_inv, cand) != cand:
-                    continue
-                ok = True
-                for x in range(self.n):
-                    if lcm(self.block_len[x], ell) % self.block_len[cand[x]]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                placement = self._derive(i, cand)
-                if self._intra_block_ok(block, placement):
-                    keep.append(placement)
-            self.unary_counts.append(len(keep))
-            self.filtered.append(keep)
-
-    def _derive(self, i: int, cand):
-        """Translations of block i: position ns[i-2]+k-1 holds R_1^k gen R_1^-k."""
-        ell = self.lengths[i - 1]
-        lo = self.ns[i - 2]
-        place = [None] * ell
-        for k in range(1, ell + 1):
-            der = _conj(self.r1_pows[k], self.r1_pows_inv[k], cand)
-            place[k - 1] = (lo + k - 1, der, _inverse(der))
-        return tuple(place)
-
-    def _intra_block_ok(self, block, placement) -> bool:
-        """Conjugation closure restricted to translations {R_1} + this block."""
-        known = {0: (self.r1, self.r1_inv)}
-        for pos, der, der_inv in placement:
-            known[pos] = (der, der_inv)
-        n = self.n
-        for u, (tu, tu_inv) in known.items():
-            if u == 0:
-                continue  # conjugating by R_1 holds by construction
-            for v in known:
-                t = tu[v]
-                if t not in known:
-                    continue
-                tt = known[t][0]
-                tv = known[v][0]
-                for x in range(n):
-                    if tt[x] != tu[tv[tu_inv[x]]]:
-                        return False
-        return True
+            for start in range(0, len(raw), _SLICE):
+                cand = raw[start : start + _SLICE]
+                cand = cand[(cand[:, s] == s[cand]).all(axis=1)]  # commutes with R_1^l
+                cand = cand[(need % self.block_len[cand] == 0).all(axis=1)]
+                tables = self.block_tables(level, cand)
+                keep.append(tables[_closed(tables, labels)][:, :, lo:hi])
+            self.raw_counts.append(len(raw))
+            self.filtered.append(np.concatenate(keep))
+            self.unary_counts.append(len(self.filtered[-1]))
 
     def run(self, chunk: tuple[int, int] | None = None):
         """Depth-first over generator choices; returns (tables, counters)."""
-        trans = [None] * self.n
-        trans_inv = [None] * self.n
-        trans[0] = self.r1
-        trans_inv[0] = self.r1_inv
         counters = {"nodes": 0, "conj": 0, "dist": 0, "conn": 0}
-        found: list[tuple[tuple[int, ...], ...]] = []
+        found: list[np.ndarray] = []
 
-        def check_level(i: int) -> bool:
-            prefix = self.ns[i - 1]
-            prev = self.ns[i - 2]
-            n = self.n
-            for u in range(prefix):
-                tu = trans[u]
-                tu_inv = trans_inv[u]
-                for v in range(prefix):
-                    t = tu[v]
-                    if u < prev and v < prev and t < prev:
-                        continue  # checked at an earlier level
-                    if t >= prefix:
-                        continue  # deferred until block(t) is assigned
-                    tt = trans[t]
-                    tv = trans[v]
-                    for x in range(n):
-                        if tt[x] != tu[tv[tu_inv[x]]]:
-                            return False
-            return True
-
-        def descend(level: int):
-            i = level + 2  # block index
-            cands = self.filtered[level]
+        def descend(level: int, table: np.ndarray):
+            lo, hi = self.ns[level + 1], self.ns[level + 2]
+            blocks = self.filtered[level]
             if level == 0 and chunk is not None:
-                cands = cands[chunk[0] : chunk[1]]
-            for placement in cands:
-                counters["nodes"] += 1
-                for pos, der, der_inv in placement:
-                    trans[pos] = der
-                    trans_inv[pos] = der_inv
-                if check_level(i):
-                    if i == self.c:
-                        counters["conj"] += 1
-                        self._emit(trans, counters, found)
-                    else:
-                        descend(level + 1)
-                for pos, _, _ in placement:
-                    trans[pos] = None
-                    trans_inv[pos] = None
+                blocks = blocks[chunk[0] : chunk[1]]
+            counters["nodes"] += len(blocks)
+            stack = np.repeat(table[None], len(blocks), axis=0)
+            stack[:, :, lo:hi] = blocks
+            for child in stack[_closed(stack, range(hi))]:
+                if hi == self.n:
+                    counters["conj"] += 1
+                    self._emit(child, counters, found)
+                else:
+                    descend(level + 1, child)
 
-        descend(0)
+        root = np.zeros((self.n, self.n), dtype=np.int8)
+        root[:, 0] = self.r1_pow[1]
+        descend(0, root)
         return found, counters
 
-    def _emit(self, trans, counters, found):
-        rows = [
-            tuple(trans[u][v] + 1 for u in range(self.n)) for v in range(self.n)
-        ]
-        q = QuandleTable.from_rows(rows)
+    def _emit(self, table, counters, found):
+        """Validate a full table that passed the closure and keep it if connected."""
+        result = validate_quandle(table + 1)
+        if not result.ok:
+            raise InvalidQuandleError(result)
+        q = QuandleTable._from_array(table)
         counters["dist"] += 1
         if not is_connected(q):
             return
@@ -301,10 +275,11 @@ class _Searcher:
         if prof.connected_form is None or prof.connected_form.lengths != self.lengths:
             return  # cannot happen: structures are forced; kept as a guard
         counters["conn"] += 1
-        found.append(tuple(rows))
+        found.append(q.array)
 
 
 def _worker(args):
+    """Search the top-level candidates start:stop of a profile in a pool process."""
     lengths, start, stop = args
     searcher = _Searcher(lengths)
     searcher.prepare()
@@ -345,38 +320,26 @@ def search_by_profile(
     searcher = _Searcher(spec.lengths)
     searcher.prepare()
     totals = {"nodes": 0, "conj": 0, "dist": 0, "conn": 0}
-    rows_found: list = []
+    found: list[np.ndarray] = []
     top = len(searcher.filtered[0]) if searcher.filtered else 0
     size = _pool_size(workers, top)
     if size == 1:
-        rows_found, totals = searcher.run()
+        found, totals = searcher.run()
     else:
         bounds = [(top * w) // size for w in range(size + 1)]
         args = [(spec.lengths, bounds[w], bounds[w + 1]) for w in range(size)]
         with ProcessPoolExecutor(max_workers=size) as pool:
-            for found, counters in pool.map(_worker, args):
-                rows_found.extend(found)
+            for part, counters in pool.map(_worker, args):
+                found.extend(part)
                 for key in totals:
                     totals[key] += counters[key]
-    rows_found.sort()
+    found.sort(key=lambda table: table.tolist())
     # every hit was validated once in _emit
-    quandles = tuple(
-        QuandleTable._from_array(np.subtract(rows, 1)) for rows in rows_found
-    )
-
+    quandles = tuple(QuandleTable._from_array(table) for table in found)
     iso_classes: tuple[tuple[int, ...], ...] = ()
     if dedup:
-        reps: list[int] = []
-        classes: dict[int, list[int]] = {}
-        for idx, q in enumerate(quandles):
-            for r in reps:
-                if are_isomorphic(q, quandles[r]) is not None:
-                    classes[r].append(idx)
-                    break
-            else:
-                reps.append(idx)
-                classes[idx] = [idx]
-        iso_classes = tuple(tuple(classes[r]) for r in reps)
+        groups = _group_isomorphic(quandles, range(len(quandles)))
+        iso_classes = tuple(tuple(members) for members in groups.values())
 
     raw_space = 1
     for cnt in searcher.raw_counts:

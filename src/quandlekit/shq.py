@@ -30,7 +30,7 @@ from .errors import (
     ParamOutOfRange,
 )
 from .numth import prime_power
-from .structure import enumerate_subquandles, profile, subtable
+from .structure import Profile, enumerate_subquandles, profile, subtable
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,12 @@ def _shq_shape(lengths) -> str | None:
 
 def classify_shq(q: QuandleTable) -> ShqParams | None:
     """ShqParams when q is an SHQ, else None."""
-    structures = profile(q).structures
+    return _classify(profile(q))
+
+
+def _classify(prof: Profile) -> ShqParams | None:
+    """classify_shq from a profile already computed."""
+    structures = prof.structures
     if len(structures) != 1:
         return None
     lengths = structures[0].lengths
@@ -388,7 +393,8 @@ def verify_main_theorem(q: QuandleTable, max_order: int | None = None) -> MainTh
     l + 1 is a prime power; and the non-trivial proper subquandles fall into
     exactly one isomorphism class per prefix order with the prefix profiles.
     """
-    params = classify_shq(q)
+    prof = profile(q)
+    params = _classify(prof)
     if params is None:
         return MainTheoremReport(False, None, ())
     ell, c = params.ell, params.c
@@ -403,7 +409,6 @@ def verify_main_theorem(q: QuandleTable, max_order: int | None = None) -> MainTh
         )
     )
 
-    prof = profile(q)
     want = predicted_profile(ell, c)
     checks.append(
         CheckOutcome(

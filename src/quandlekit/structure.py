@@ -288,22 +288,34 @@ def enumerate_subquandles(
     buckets: dict[tuple, list[int]] = {}
     for i, (elems, sub) in enumerate(tables):
         buckets.setdefault((len(elems), profiles[i].structures), []).append(i)
+    subs = [sub for _, sub in tables]
     for members in buckets.values():
-        reps: list[int] = []
-        for i in members:
-            for r in reps:
-                if are_isomorphic(tables[i][1], tables[r][1]) is not None:
-                    iso_class[i] = r
-                    break
-            else:
-                reps.append(i)
-                iso_class[i] = i
+        for rep, group in _group_isomorphic(subs, members).items():
+            for i in group:
+                iso_class[i] = rep
 
     entries = tuple(
         SubquandleEntry(elems, len(elems), profiles[i], iso_class[i])
         for i, (elems, sub) in enumerate(tables)
     )
     return SubquandleInventory(q.n, entries)
+
+
+def _group_isomorphic(tables, members) -> dict[int, list[int]]:
+    """Isomorphism classes of tables[i] for i in members, taken in order.
+
+    Maps the first member of each class to its members; every later table is
+    compared with the class representatives in the order they were found.
+    """
+    classes: dict[int, list[int]] = {}
+    for i in members:
+        for rep, group in classes.items():
+            if are_isomorphic(tables[i], tables[rep]) is not None:
+                group.append(i)
+                break
+        else:
+            classes[i] = [i]
+    return classes
 
 
 def _element_invariants(q: QuandleTable) -> list[tuple]:

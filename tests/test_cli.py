@@ -1,5 +1,6 @@
 """Command line interface: exit codes, text output, and JSON reports."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -154,6 +155,23 @@ class TestAnalyze:
     def test_invalid_table_rejected(self, capsys):
         assert main(["analyze", CORRUPT]) == 1
         assert capsys.readouterr().err.startswith("error: IdempotencyViolation")
+
+    def test_profile_computed_once_per_layer(self, capsys, monkeypatch):
+        # cmd_analyze and verify_main_theorem each compute the profile once
+        # and classify from it; before, classify_shq recomputed it twice more
+        from quandlekit import cli, shq, structure
+
+        calls = []
+        spy = lambda q: calls.append(q.n) or structure.profile(q)  # noqa: E731
+        monkeypatch.setattr(cli, "profile", spy)
+        monkeypatch.setattr(shq, "profile", spy)
+        assert main(["analyze", Q94, "--verify-main-theorem", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert calls == [9, 9]
+        # the report as it was while the profile was computed four times
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "409113e78736dfeae47ece89edcfcb89f377cec67530f80ca28bf8d0d49eb8d2"
+        )
 
 
 class TestConstruct:

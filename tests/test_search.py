@@ -1,6 +1,9 @@
 """Canonical-form search, its statistics, and the naive reference search."""
 
 import json
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -20,7 +23,8 @@ from quandlekit import (
     search_by_profile,
     validate_quandle,
 )
-from quandlekit.search import _candidate_count, _cycle_candidates
+from quandlekit import search
+from quandlekit.search import _candidate_count, _cycle_candidates, _Searcher, _worker
 from conftest import dihedral_quandle
 
 
@@ -125,6 +129,30 @@ class TestStats:
         assert stats.connected_pass == 6
         assert stats.elapsed > 0
 
+    # read before the search moved from permutation tuples to integer arrays
+    @pytest.mark.parametrize(
+        "lengths, pinned",
+        [
+            ((1, 2, 4), (8100, [90, 90], [1, 2], 3, 0)),
+            ((1, 3, 6), (406425600, [20160, 20160], [4, 2], 12, 0)),
+            ((1, 7), (720, [720], [2], 2, 2)),
+            ((1, 8), (5040, [5040], [2], 2, 2)),
+            ((1, 9), (40320, [40320], [0], 0, 0)),
+        ],
+    )
+    def test_pinned_filter_funnels(self, lengths, pinned):
+        raw_space, raw, unary, nodes, hits = pinned
+        assert search_by_profile(SearchSpec(lengths)).stats.as_dict() == {
+            "raw_space": raw_space,
+            "per_generator_raw": raw,
+            "per_generator_unary": unary,
+            "nodes_expanded": nodes,
+            "fixed_point": raw_space,
+            "conjugation": hits,
+            "distributivity": hits,
+            "connectivity": hits,
+        }
+
     def test_conjugation_implies_distributivity(self):
         # leaves that satisfy the conjugation closure always validate
         for lengths in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 2, 6)]:
@@ -167,9 +195,36 @@ class TestDeterminismAndWorkers:
         assert a.iso_classes == b.iso_classes
         assert a.stats.as_dict() == b.stats.as_dict()
 
-    def test_pool_size_is_bounded(self, monkeypatch):
-        import os
+    def test_pool_runs_and_matches(self, monkeypatch):
+        # (1,3,6) has 4 top-level candidates: two workers get two each
+        started = []
 
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        a = search_by_profile(SearchSpec((1, 3, 6)), workers=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+        b = search_by_profile(SearchSpec((1, 3, 6)), workers=2)
+        assert started == [2]
+        assert a.quandles == b.quandles
+        assert a.iso_classes == b.iso_classes
+        assert a.stats.as_dict() == b.stats.as_dict()
+
+    def test_worker_result_pickles_and_merges(self):
+        # the whole top level of (1,2,6) in one worker call, sent through pickle
+        found, counters = pickle.loads(pickle.dumps(_worker(((1, 2, 6), 0, 3))))
+        searcher = _Searcher((1, 2, 6))
+        searcher.prepare()
+        here, here_counters = searcher.run()
+        assert counters == here_counters
+        assert [t.tolist() for t in found] == [t.tolist() for t in here]
+        res = search_by_profile(SearchSpec((1, 2, 6)))
+        assert sorted(t.tolist() for t in found) == [q.array.tolist() for q in res.quandles]
+
+    def test_pool_size_is_bounded(self, monkeypatch):
         from quandlekit.search import _pool_size
 
         huge = 10**9

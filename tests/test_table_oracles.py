@@ -7,10 +7,15 @@ objects with `right_translation`.  The hypothesis tests compare the two on
 relabelled affine, family, trivial and dihedral tables, on their canonical
 forms, and on unchecked copies of those with two columns or two entries of
 a column swapped, which make the partition and conjugation checks fail.
+
+The search's batched conjugation-closure check `_closed` is compared the same
+way with `reference_closed`, the loop over permutation tuples the search ran
+before, on stacks of its own candidate tables.
 """
 
 import random
 import sys
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -48,6 +53,7 @@ from quandlekit import (
     translations,
     verify_main_theorem,
 )
+from quandlekit.search import _closed, _cycle_candidates, _Searcher
 from conftest import dihedral_quandle, relabel
 from test_core import relabelled_rows
 
@@ -176,6 +182,26 @@ def reference_from_translations(perms) -> QuandleTable:
     return QuandleTable.from_rows([[imgs[i][j] for i in range(n)] for j in range(n)])
 
 
+def reference_closed(table, labels) -> bool:
+    """R_(v*u) = R_u R_v R_u^-1 at every point, for all u, v in labels with
+    v*u in labels; column u of table is R_u, read as a 0-based image tuple."""
+    n = len(table)
+    trans = {u: tuple(int(x) for x in table[:, u]) for u in labels}
+    for u, tu in trans.items():
+        tu_inv = [0] * n
+        for i, v in enumerate(tu):
+            tu_inv[v] = i
+        for v, tv in trans.items():
+            t = tu[v]
+            if t not in trans:
+                continue
+            tt = trans[t]
+            for x in range(n):
+                if tt[x] != tu[tv[tu_inv[x]]]:
+                    return False
+    return True
+
+
 def outcome(fn, *args):
     """fn's result, or its exception's type and message."""
     try:
@@ -246,6 +272,66 @@ class TestArrayFormsMatchReference:
         elif mutation == "constant":  # conjugation holds, fixed points may not
             perms = [Permutation(data.draw(st.permutations(range(1, q.n + 1))))] * q.n
         assert outcome(from_translations, perms) == outcome(reference_from_translations, perms)
+
+
+@lru_cache(maxsize=None)
+def prepared(lengths) -> _Searcher:
+    searcher = _Searcher(lengths)
+    searcher.prepare()
+    return searcher
+
+
+@lru_cache(maxsize=None)
+def raw_candidates(lengths, level: int):
+    searcher = prepared(lengths)
+    return _cycle_candidates(searcher.n, lengths, searcher.ns[level + 2] - 1)
+
+
+@st.composite
+def closure_stacks(draw):
+    """(stack, labels) as the search builds them, at most 8 tables.
+
+    A unary stack derives the tables of one block from raw candidates and
+    unary survivors, on labels {1} + the block.  A tree stack combines unary
+    survivors of the first blocks, on the labels of that prefix.  One column
+    of one table may be replaced by a random permutation.
+    """
+    lengths = draw(st.sampled_from([(1, 2, 6), (1, 3, 6), (1, 4), (1, 2, 4)]))
+    searcher = prepared(lengths)
+    n, ns = searcher.n, searcher.ns
+    size = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        level = draw(st.integers(0, len(lengths) - 2))
+        raw = raw_candidates(lengths, level)
+        gens = searcher.filtered[level][:, :, -1]  # column n_i holds the generator
+        pool = np.concatenate([raw, gens])
+        pick = st.integers(0, len(raw) - 1) | st.integers(len(raw), len(pool) - 1)
+        picks = draw(st.lists(pick, min_size=size, max_size=size))
+        stack = searcher.block_tables(level, pool[picks])
+        labels = [0, *range(ns[level + 1], ns[level + 2])]
+    else:
+        depth = draw(st.integers(1, len(lengths) - 1))
+        stack = np.zeros((size, n, n), dtype=np.int8)
+        stack[:, :, 0] = searcher.r1_pow[1]
+        for level in range(depth):
+            blocks = searcher.filtered[level]
+            picks = draw(st.lists(st.integers(0, len(blocks) - 1), min_size=size, max_size=size))
+            stack[:, :, ns[level + 1] : ns[level + 2]] = blocks[picks]
+        labels = list(range(ns[depth + 1]))
+    if draw(st.booleans()):
+        b = draw(st.integers(0, size - 1))
+        u = draw(st.sampled_from(labels))
+        stack[b, :, u] = draw(st.permutations(range(n)))
+    return stack, labels
+
+
+class TestSearchClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(closure_stacks())
+    def test_batched_matches_reference(self, case):
+        stack, labels = case
+        want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
+        assert _closed(stack, labels).tolist() == want
 
 
 class TestIsomorphismMaps:
