@@ -27,7 +27,7 @@ from .errors import (
     QuandleKitError,
 )
 from .search import SearchSpec, save_search_result, search_by_profile, search_manifest
-from .shq import _classify, check_profile_admissible, verify_main_theorem
+from .shq import _classify, _verify, check_profile_admissible
 from .structure import enumerate_subquandles, is_latin, profile
 
 
@@ -93,10 +93,6 @@ def cmd_analyze(args) -> int:
         },
         "shq": params.as_dict() if params else None,
     }
-    theorem = None
-    if args.verify_main_theorem:
-        theorem = verify_main_theorem(q, max_order=args.max_order)
-        report["main_theorem"] = theorem.as_dict()
     inventory = None
     if args.subquandles:
         inventory = enumerate_subquandles(q, max_order=args.max_order)
@@ -111,6 +107,10 @@ def cmd_analyze(args) -> int:
                 }
             )
         report["subquandles"] = {"count": len(inventory.entries), "classes": classes}
+    theorem = None
+    if args.verify_main_theorem:
+        theorem = _verify(q, prof, args.max_order, inventory)
+        report["main_theorem"] = theorem.as_dict()
     if args.json or args.out:
         _emit_json(report, args.out)
         return 0

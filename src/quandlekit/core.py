@@ -205,12 +205,12 @@ class ValidationResult:
 def _close_mask(tbl: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Fixpoint of all-pairs products over a boolean mask, in place.
 
-    The one closure kernel: subquandle closures and the generator loop of
-    validate_quandle both run on it.  That loop rests on a lemma.  When
-    every column of tbl is a bijection, the labels k whose right
-    translation R_k is an automorphism form a set closed under the product:
-    if R_a and R_b are automorphisms, distributivity at b gives
-    R_(a*b) = R_b R_a R_b^-1, an automorphism too.
+    The one closure kernel: subquandle closures, the growth step of the
+    subquandle enumeration and the generating sets of _generators all run
+    on it.  Validation rests on a lemma.  When every column of tbl is a
+    bijection, the labels k whose right translation R_k is an automorphism
+    form a set closed under the product: if R_a and R_b are automorphisms,
+    distributivity at b gives R_(a*b) = R_b R_a R_b^-1, an automorphism too.
     """
     n = tbl.shape[0]
     size = int(mask.sum())
@@ -224,28 +224,40 @@ def _close_mask(tbl: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _generators(tbl: np.ndarray):
+    """Greedy generating set of a table, 0-based, yielded lazily.
+
+    Each label yielded is the smallest one outside the closure of those
+    yielded before; the closure is taken only when the next label is asked
+    for.  On a quandle the columns of a generating set also generate the
+    inner automorphism group, since R_(a*b) = R_b R_a R_b^-1.
+    """
+    mask = np.zeros(tbl.shape[0], dtype=bool)
+    g = 0
+    while True:
+        yield g
+        mask[g] = True
+        rest = np.flatnonzero(~_close_mask(tbl, mask))
+        if not rest.size:
+            return
+        g = int(rest[0])
+
+
 def _distributive(tbl: np.ndarray) -> bool:
     """Right distributivity of a table whose columns are bijections.
 
-    Checks each R_g of a greedy generating set: take the smallest label
-    outside the closure of the labels checked so far.  By the lemma in
-    _close_mask, that closure holds only automorphisms, so the table is
-    distributive once it covers every label.  O(|gens| n^2), not n^3.
+    Checks each R_g of the greedy generating set of _generators, each
+    before the next is found.  By the lemma in _close_mask, the closure of
+    the labels checked so far holds only automorphisms, so the table is
+    distributive once the set generates it.  O(|gens| n^2), not n^3.
     """
-    n = tbl.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    g = 0
-    while True:
+    for g in _generators(tbl):
         col = tbl[:, g]
         # (i*j)*g against (i*g)*(j*g) for all (i, j); two 1-D gathers beat
         # the equivalent 2-D fancy index tbl[col[:, None], col[None, :]]
         if not np.array_equal(col.take(tbl), tbl[col][:, col]):
             return False
-        mask[g] = True
-        rest = np.flatnonzero(~_close_mask(tbl, mask))
-        if not rest.size:
-            return True
-        g = int(rest[0])
+    return True
 
 
 def _first_mismatch(tbl: np.ndarray) -> tuple[int, int, int] | None:

@@ -393,7 +393,14 @@ def verify_main_theorem(q: QuandleTable, max_order: int | None = None) -> MainTh
     l + 1 is a prime power; and the non-trivial proper subquandles fall into
     exactly one isomorphism class per prefix order with the prefix profiles.
     """
-    prof = profile(q)
+    return _verify(q, profile(q), max_order)
+
+
+def _verify(
+    q: QuandleTable, prof: Profile, max_order: int | None, inventory=None
+) -> MainTheoremReport:
+    """verify_main_theorem from q's profile and, when given, q's subquandle
+    inventory; without one, q is enumerated only if it is an SHQ."""
     params = _classify(prof)
     if params is None:
         return MainTheoremReport(False, None, ())
@@ -427,14 +434,23 @@ def verify_main_theorem(q: QuandleTable, max_order: int | None = None) -> MainTh
         )
     )
 
-    canon, decomp = canonical_relabel(q)
-    inventory = enumerate_subquandles(canon, max_order)
+    _, decomp = canonical_relabel(q)
+    if inventory is None:
+        inventory = enumerate_subquandles(q, max_order)
+    # q's closed sets in canonical labels, sorted as the canonical table's
+    # inventory lists them, so the notes keep their order; profiles and the
+    # number of classes per order do not depend on the labels
+    f = decomp.relabeling.image
+    listed = sorted(
+        (e.order, tuple(sorted(f[x - 1] for x in e.elements)), e) for e in inventory.entries
+    )
     expected = {decomp.ns[i - 1]: CycleStructure(decomp.lengths[:i]) for i in range(2, c)}
     seen: dict[int, list[int]] = {}
     ok = True
     notes = []
-    for idx in inventory.non_trivial_proper():
-        entry = inventory.entries[idx]
+    for _, _, entry in listed:
+        if not 1 < entry.order < q.n:
+            continue
         seen.setdefault(entry.order, [])
         if entry.iso_class not in seen[entry.order]:
             seen[entry.order].append(entry.iso_class)
@@ -452,7 +468,7 @@ def verify_main_theorem(q: QuandleTable, max_order: int | None = None) -> MainTh
         if len(classes) != 1:
             ok = False
             notes.append(f"order {order}: {len(classes)} classes, predicted 1")
-    prefix_sets = {frozenset(e.elements) for e in inventory.entries}
+    prefix_sets = {frozenset(elems) for _, elems, _ in listed}
     for i in range(2, c):
         if frozenset(decomp.prefix(i)) not in prefix_sets:
             ok = False

@@ -7,7 +7,6 @@ the deduplicated structures are listed in lexicographic order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .core import (
     ValidationResult,
     _close_mask,
     _cycles,
+    _generators,
 )
 from .errors import (
     IndexOutOfRange,
@@ -28,12 +28,6 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .limits import DEFAULT_ENUM_CAP, resolve_cap
-
-# The all-pairs closure matrix costs n(n-1)/2 * n bytes (4.3 GB at order
-# 2048); past this order the subquandle enumeration closes every extension
-# from scratch instead.
-_PAIR_MATRIX_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -104,90 +98,49 @@ def profile(q: QuandleTable) -> Profile:
     return Profile(tuple(sorted(set(structures))), None)
 
 
-def _pair_closure_matrix(tbl: np.ndarray):
-    """Closure of every unordered pair, one boolean row per pair.
+def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
+    """Closed subsets of a quandle table as boolean masks, one list per
+    orbit of the inner automorphism group Inn(Q).
 
-    Each translation R_g is an automorphism, so closure({a*g, b*g}) is the
-    image of closure({a, b}) under R_g.  One direct closure per pair orbit;
-    the rest are permutation gathers.
+    Every right translation R_g is an automorphism, so Inn(Q) maps closed
+    sets to closed sets, and the columns of a generating set generate it.
+    An orbit is seeded by one set and filled by the gathers tbl[S, g] over
+    those columns, with no closure.  The singletons seed the first orbits,
+    one per orbit of labels.  Only the first member of each orbit is grown,
+    by one outside element and a closure: growing any other member R(S)
+    by R(e) gives R applied to a set found from S, so no orbit is missed.
     """
     n = tbl.shape[0]
-    inv_cols = np.argsort(tbl, axis=0)  # inv_cols[j, g] = the i with i*g = j
-    pair_id = np.full((n, n), -1, dtype=np.int32)
-    mat = np.zeros((n * (n - 1) // 2, n), dtype=bool)
-    next_id = 0
-    queue: deque[tuple[int, int]] = deque()
-    for x in range(n):
-        for y in range(x + 1, n):
-            if pair_id[x, y] >= 0:
-                continue
-            mat[next_id, [x, y]] = True
-            _close_mask(tbl, mat[next_id])
-            pair_id[x, y] = next_id
-            next_id += 1
-            queue.append((x, y))
-            while queue:
-                a, b = queue.popleft()
-                vec = mat[pair_id[a, b]]
-                lo = np.minimum(tbl[a], tbl[b])
-                hi = np.maximum(tbl[a], tbl[b])
-                for g in np.flatnonzero(pair_id[lo, hi] < 0):
-                    a2, b2 = int(lo[g]), int(hi[g])
-                    if pair_id[a2, b2] >= 0:
-                        continue
-                    mat[next_id] = vec[inv_cols[:, g]]
-                    pair_id[a2, b2] = next_id
-                    next_id += 1
-                    queue.append((a2, b2))
-    return pair_id, mat
+    cols = tbl[:, list(_generators(tbl))]
+    rows = np.arange(cols.shape[1])
+    known: set[bytes] = set()
+    out: list[list[np.ndarray]] = []
 
-
-def _enumerate_sets(tbl: np.ndarray) -> set[frozenset[int]]:
-    """Closed subsets (0-based) by breadth-first growth over boolean masks.
-
-    Every known set S is extended by one outside element e and closed.  Up
-    to _PAIR_MATRIX_LIMIT the closure starts from the union of the precomputed
-    closures of {s, e} for s in S, and the first layer is read off the matrix.
-    """
-    n = tbl.shape[0]
-    pairs = _pair_closure_matrix(tbl) if n <= _PAIR_MATRIX_LIMIT else None
-    known: dict[bytes, np.ndarray] = {}
-    for x in range(n):
-        v = np.zeros(n, dtype=bool)
-        v[x] = True
-        known[v.tobytes()] = v
-    if pairs is None:
-        layer = list(known.values())
-    else:
-        pair_id, mat = pairs
-        layer = []
-        for x in range(n):  # extending a singleton is exactly a pair closure
-            for y in range(x + 1, n):
-                v = mat[pair_id[x, y]]
-                key = v.tobytes()
+    def fill(seed: np.ndarray) -> None:
+        known.add(seed.tobytes())
+        orbit = [seed]
+        for member in orbit:  # grows while it is walked
+            images = np.zeros((len(rows), n), dtype=bool)
+            images[rows, cols[member]] = True  # row j is the image under R_(gen j)
+            for image in images:
+                key = image.tobytes()
                 if key not in known:
-                    v = v.copy()
-                    known[key] = v
-                    layer.append(v)
-    while layer:
-        grown: list[np.ndarray] = []
-        for svec in layer:
-            s_idx = np.flatnonzero(svec)
-            for e in np.flatnonzero(~svec):
-                if pairs is None:
-                    u = svec.copy()
-                    u[e] = True
-                else:
-                    ids = pair_id[np.minimum(s_idx, e), np.maximum(s_idx, e)]
-                    u = svec | mat[ids].any(axis=0)
-                if not u.all():
-                    u = _close_mask(tbl, u)
-                key = u.tobytes()
-                if key not in known:
-                    known[key] = u
-                    grown.append(u)
-        layer = grown
-    return {frozenset(np.flatnonzero(v).tolist()) for v in known.values()}
+                    known.add(key)
+                    orbit.append(image)
+        out.append(orbit)
+
+    for singleton in np.eye(n, dtype=bool):
+        if singleton.tobytes() not in known:
+            fill(singleton)
+    for orbit in out:  # grows while it is walked
+        first = orbit[0]
+        for e in np.flatnonzero(~first):
+            grown = first.copy()
+            grown[e] = True
+            _close_mask(tbl, grown)
+            if grown.tobytes() not in known:
+                fill(grown)
+    return out
 
 
 def subquandle_closure(q: QuandleTable, seed) -> frozenset[int]:
@@ -264,39 +217,37 @@ class SubquandleInventory:
 def enumerate_subquandles(
     q: QuandleTable, max_order: int | None = None
 ) -> SubquandleInventory:
-    """All closed subsets, by breadth-first growth from singleton closures.
+    """All closed subsets, found orbit by orbit under Inn(Q) (_closed_orbits).
 
-    Every known subset is extended by one outside element and closed;
-    deduplication is by element set.  Entries are sorted by (order, elements)
-    and grouped into isomorphism classes.
+    Entries are sorted by (order, elements).  The members of an orbit are
+    isomorphic subquandles, so each orbit's subtable and profile are built
+    once, from its first entry, and only those first entries are grouped
+    into isomorphism classes.  iso_class is the first entry of the class.
     """
     cap = resolve_cap(max_order, DEFAULT_ENUM_CAP)
     if q.n > cap:
         raise SizeLimitExceeded(f"order {q.n} exceeds enumeration cap {cap}")
-    known = _enumerate_sets(q.array)
-    subsets = sorted(known, key=lambda s: (len(s), sorted(s)))
-    tables = []
-    profiles = []
-    for s in subsets:
-        elems = tuple(x + 1 for x in sorted(s))
-        sub = subtable(q, elems)
-        tables.append((elems, sub))
-        profiles.append(profile(sub))
+    # each orbit as its sorted (order, elements) keys; orbits by their first
+    orbits = sorted(
+        sorted((int(m.sum()), tuple((np.flatnonzero(m) + 1).tolist())) for m in orbit)
+        for orbit in _closed_orbits(q.array)
+    )
+    subs = [subtable(q, orbit[0][1]) for orbit in orbits]
+    profiles = [profile(sub) for sub in subs]
+    listed = sorted((key, i) for i, orbit in enumerate(orbits) for key in orbit)
+    index = {key: k for k, (key, _) in enumerate(listed)}
 
-    # Group into isomorphism classes, bucketed by (order, profile) first.
-    iso_class = [0] * len(subsets)
+    # Group the orbits into isomorphism classes, bucketed by (order, profile).
     buckets: dict[tuple, list[int]] = {}
-    for i, (elems, sub) in enumerate(tables):
-        buckets.setdefault((len(elems), profiles[i].structures), []).append(i)
-    subs = [sub for _, sub in tables]
+    for i, orbit in enumerate(orbits):
+        buckets.setdefault((orbit[0][0], profiles[i].structures), []).append(i)
+    iso_class: dict[int, int] = {}
     for members in buckets.values():
         for rep, group in _group_isomorphic(subs, members).items():
-            for i in group:
-                iso_class[i] = rep
-
+            iso_class.update(dict.fromkeys(group, index[orbits[rep][0]]))
     entries = tuple(
-        SubquandleEntry(elems, len(elems), profiles[i], iso_class[i])
-        for i, (elems, sub) in enumerate(tables)
+        SubquandleEntry(elems, order, profiles[i], iso_class[i])
+        for (order, elems), i in listed
     )
     return SubquandleInventory(q.n, entries)
 

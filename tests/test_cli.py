@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quandlekit import affine_quandle, read_qdl, shq_family
+from quandlekit import affine_quandle, read_qdl, shq_family, write_qdl
 from quandlekit.cli import main
 from conftest import FIXTURES
 
@@ -157,8 +157,8 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: IdempotencyViolation")
 
     def test_profile_computed_once_per_layer(self, capsys, monkeypatch):
-        # cmd_analyze and verify_main_theorem each compute the profile once
-        # and classify from it; before, classify_shq recomputed it twice more
+        # cmd_analyze computes the profile once and hands it to the theorem
+        # check; before, verify_main_theorem and classify_shq recomputed it
         from quandlekit import cli, shq, structure
 
         calls = []
@@ -167,11 +167,42 @@ class TestAnalyze:
         monkeypatch.setattr(shq, "profile", spy)
         assert main(["analyze", Q94, "--verify-main-theorem", "--json"]) == 0
         out = capsys.readouterr().out
-        assert calls == [9, 9]
+        assert calls == [9]
         # the report as it was while the profile was computed four times
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "409113e78736dfeae47ece89edcfcb89f377cec67530f80ca28bf8d0d49eb8d2"
         )
+
+    def test_subquandles_enumerated_once(self, capsys, monkeypatch):
+        # the theorem check reads the inventory that --subquandles lists,
+        # mapped to canonical labels, instead of enumerating canon again
+        from quandlekit import structure
+
+        calls = []
+        real = structure._closed_orbits
+        spy = lambda tbl: calls.append(len(tbl)) or real(tbl)  # noqa: E731
+        monkeypatch.setattr(structure, "_closed_orbits", spy)
+        argv = ["analyze", Q94, "--verify-main-theorem", "--subquandles", "--json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert calls == [9]
+        # the report as it was while the subsets were enumerated twice
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "47e49b64cbbfeb74384352c2a3fb73d23d8dedf2b1c1bc72f8f6886f9e5ddd44"
+        )
+
+    def test_non_shq_theorem_check_enumerates_nothing(self, capsys, tmp_path, monkeypatch):
+        # past the enumeration cap, so enumerating would raise SizeLimitExceeded
+        from quandlekit import structure
+
+        calls = []
+        real = structure._closed_orbits
+        monkeypatch.setattr(structure, "_closed_orbits", lambda t: calls.append(1) or real(t))
+        path = tmp_path / "dihedral343.qdl"
+        write_qdl(affine_quandle(343, 342), path)
+        assert main(["analyze", str(path), "--verify-main-theorem"]) == 0
+        assert "main theorem: FAIL (not an SHQ)\n" in capsys.readouterr().out
+        assert calls == []
 
 
 class TestConstruct:

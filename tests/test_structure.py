@@ -20,6 +20,7 @@ from quandlekit import (
     canonical_relabel,
     classify_shq,
     enumerate_subquandles,
+    galois_affine_quandle,
     is_connected,
     is_latin,
     orbits,
@@ -32,6 +33,7 @@ from quandlekit import (
 )
 from quandlekit import structure
 from conftest import cyclic_type_quandle, dihedral_quandle, relabel, trivial_quandle
+from test_table_oracles import reference_inventory
 
 
 class TestOrbits:
@@ -246,32 +248,29 @@ class TestEnumerateSubquandles:
 
 
 class TestEnumerationBackends:
-    """Past _PAIR_MATRIX_LIMIT every extension is closed from scratch; at
-    small orders that fallback must list the same sets as the pair-matrix BFS."""
+    """The orbit-wise inventory against reference_inventory: every closed set
+    from the breadth-first growth, each with its own subtable and profile."""
 
     @staticmethod
-    def agree(q, monkeypatch):
-        main = enumerate_subquandles(q)
-        with monkeypatch.context() as m:
-            m.setattr(structure, "_PAIR_MATRIX_LIMIT", 0)
-            fallback = enumerate_subquandles(q)
-        assert fallback == main
+    def agree(q):
+        assert enumerate_subquandles(q) == reference_inventory(q)
 
-    def test_agree_on_fixture_bank(self, shq_fixtures, monkeypatch):
+    def test_agree_on_fixture_bank(self, shq_fixtures):
         for name, q in shq_fixtures:
             if q.n <= 32:
-                self.agree(q, monkeypatch)
+                self.agree(q)
 
-    def test_agree_on_disconnected(self, monkeypatch):
+    def test_agree_on_disconnected(self):
         for q in (trivial_quandle(5), dihedral_quandle(6), dihedral_quandle(8)):
-            self.agree(q, monkeypatch)
+            self.agree(q)
 
 
-# Connected and disconnected quandles of order <= 12.
+# Connected and disconnected quandles of order <= 12; affine (8, 5) and
+# (12, 7) hold non-isomorphic subquandles of one order.
 SMALL = (
     [trivial_quandle(n) for n in (1, 2, 4)]
     + [dihedral_quandle(n) for n in (3, 4, 6, 8, 10, 12)]
-    + [affine_quandle(m, h) for m, h in ((5, 2), (7, 3), (9, 2), (11, 2))]
+    + [affine_quandle(m, h) for m, h in ((5, 2), (7, 3), (9, 2), (11, 2), (8, 5), (12, 7))]
     + [cyclic_type_quandle(2, 2), cyclic_type_quandle(2, 3)]
 )
 
@@ -295,6 +294,11 @@ class TestDerivedTableOracles:
         assert {frozenset(e.elements) for e in inv.entries} == (
             brute_force_closed_subsets(q)
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled(SMALL + SHQS) | st.integers(1, 6).map(trivial_quandle))
+    def test_inventory_matches_reference(self, q):
+        assert enumerate_subquandles(q) == reference_inventory(q)
 
     @settings(max_examples=40, deadline=None)
     @given(relabelled(SHQS), st.data())
@@ -404,6 +408,23 @@ class TestTranslationConjugation:
                 lhs = set(right_translation(q, rg(i)).fixed_points())
                 rhs = {rg(x) for x in right_translation(q, i).fixed_points()}
                 assert lhs == rhs, name
+
+
+class TestClosedOrbits:
+    @pytest.mark.parametrize(
+        "make, sets, orbit_count",
+        [
+            (lambda: shq_family(3, 4), 40, 4),
+            (lambda: shq_family(5, 3), 31, 3),
+            (lambda: galois_affine_quandle(3, 4, 2), 2452, 212),
+            (lambda: dihedral_quandle(16), 31, 9),
+            (lambda: dihedral_quandle(24), 60, 14),
+        ],
+        ids=["family(3,4)", "family(5,3)", "galois(3,4,2)", "dihedral16", "dihedral24"],
+    )
+    def test_pinned_counts(self, make, sets, orbit_count):
+        found = structure._closed_orbits(make().array)
+        assert (sum(map(len, found)), len(found)) == (sets, orbit_count)
 
 
 class TestLargeOrderEnumeration:

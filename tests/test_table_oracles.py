@@ -11,10 +11,16 @@ a column swapped, which make the partition and conjugation checks fail.
 The search's batched conjugation-closure check `_closed` is compared the same
 way with `reference_closed`, the loop over permutation tuples the search ran
 before, on stacks of its own candidate tables.
+
+`reference_inventory` is the subquandle inventory as it was built before the
+enumeration went orbit by orbit: every closed set from the breadth-first
+growth of `reference_enumerate_sets`, each with its own subtable, profile and
+isomorphism test.  test_structure.py compares `enumerate_subquandles` with it.
 """
 
 import random
 import sys
+from collections import deque
 from functools import lru_cache
 from math import lcm
 
@@ -36,6 +42,8 @@ from quandlekit import (
     Profile,
     ProfileInconsistency,
     QuandleTable,
+    SubquandleEntry,
+    SubquandleInventory,
     are_isomorphic,
     canonical_relabel,
     check_conjugation_relations,
@@ -50,9 +58,11 @@ from quandlekit import (
     profile,
     right_translation,
     shq_family,
+    subtable,
     translations,
     verify_main_theorem,
 )
+from quandlekit.core import _close_mask
 from quandlekit.search import _closed, _cycle_candidates, _Searcher
 from conftest import dihedral_quandle, relabel
 from test_core import relabelled_rows
@@ -200,6 +210,109 @@ def reference_closed(table, labels) -> bool:
                 if tt[x] != tu[tv[tu_inv[x]]]:
                     return False
     return True
+
+
+def reference_pair_closures(tbl: np.ndarray):
+    """Closure of every unordered pair, one boolean row per pair.
+
+    Each translation R_g is an automorphism, so closure({a*g, b*g}) is the
+    image of closure({a, b}) under R_g.  One direct closure per pair orbit;
+    the rest are permutation gathers.
+    """
+    n = tbl.shape[0]
+    inv_cols = np.argsort(tbl, axis=0)  # inv_cols[j, g] = the i with i*g = j
+    pair_id = np.full((n, n), -1, dtype=np.int32)
+    mat = np.zeros((n * (n - 1) // 2, n), dtype=bool)
+    next_id = 0
+    queue: deque[tuple[int, int]] = deque()
+    for x in range(n):
+        for y in range(x + 1, n):
+            if pair_id[x, y] >= 0:
+                continue
+            mat[next_id, [x, y]] = True
+            _close_mask(tbl, mat[next_id])
+            pair_id[x, y] = next_id
+            next_id += 1
+            queue.append((x, y))
+            while queue:
+                a, b = queue.popleft()
+                vec = mat[pair_id[a, b]]
+                lo = np.minimum(tbl[a], tbl[b])
+                hi = np.maximum(tbl[a], tbl[b])
+                for g in np.flatnonzero(pair_id[lo, hi] < 0):
+                    a2, b2 = int(lo[g]), int(hi[g])
+                    if pair_id[a2, b2] >= 0:
+                        continue
+                    mat[next_id] = vec[inv_cols[:, g]]
+                    pair_id[a2, b2] = next_id
+                    next_id += 1
+                    queue.append((a2, b2))
+    return pair_id, mat
+
+
+def reference_enumerate_sets(tbl: np.ndarray) -> set[frozenset[int]]:
+    """Closed subsets (0-based) by breadth-first growth over boolean masks.
+
+    Every known set S is extended by one outside element e and closed; the
+    closure starts from the union of the pair closures of {s, e} for s in S,
+    and the first layer is read off the pair closures.
+    """
+    n = tbl.shape[0]
+    pair_id, mat = reference_pair_closures(tbl)
+    known: dict[bytes, np.ndarray] = {}
+    for x in range(n):
+        v = np.zeros(n, dtype=bool)
+        v[x] = True
+        known[v.tobytes()] = v
+    layer = []
+    for x in range(n):  # extending a singleton is exactly a pair closure
+        for y in range(x + 1, n):
+            v = mat[pair_id[x, y]]
+            key = v.tobytes()
+            if key not in known:
+                v = v.copy()
+                known[key] = v
+                layer.append(v)
+    while layer:
+        grown: list[np.ndarray] = []
+        for svec in layer:
+            s_idx = np.flatnonzero(svec)
+            for e in np.flatnonzero(~svec):
+                ids = pair_id[np.minimum(s_idx, e), np.maximum(s_idx, e)]
+                u = svec | mat[ids].any(axis=0)
+                if not u.all():
+                    u = _close_mask(tbl, u)
+                key = u.tobytes()
+                if key not in known:
+                    known[key] = u
+                    grown.append(u)
+        layer = grown
+    return {frozenset(np.flatnonzero(v).tolist()) for v in known.values()}
+
+
+def reference_inventory(q: QuandleTable) -> SubquandleInventory:
+    """Every closed set with its own subtable and profile, sorted by (order,
+    elements); iso_class is the first entry isomorphic to it."""
+    subsets = sorted(reference_enumerate_sets(q.array), key=lambda s: (len(s), sorted(s)))
+    elems = [tuple(x + 1 for x in sorted(s)) for s in subsets]
+    subs = [subtable(q, e) for e in elems]
+    profiles = [profile(sub) for sub in subs]
+    reps: list[int] = []
+    iso_class = []
+    for i, sub in enumerate(subs):
+        rep = next(
+            (j for j in reps
+             if (len(elems[j]), profiles[j]) == (len(elems[i]), profiles[i])
+             and are_isomorphic(sub, subs[j]) is not None),
+            None,
+        )
+        if rep is None:
+            reps.append(i)
+            rep = i
+        iso_class.append(rep)
+    return SubquandleInventory(q.n, tuple(
+        SubquandleEntry(e, len(e), p, c) for e, p, c in zip(elems, profiles, iso_class)
+    ))
 
 
 def outcome(fn, *args):
