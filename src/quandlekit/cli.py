@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .construct import (
     GaloisField,
+    _capped_order,
     affine_quandle,
     galois_affine_quandle,
     shq_family,
@@ -151,6 +152,7 @@ def cmd_construct(args) -> int:
     elif args.kind == "galois":
         q = galois_affine_quandle(args.p, args.a, args.multiplier, max_order=args.max_order)
     else:  # cyclic: multiplier is a generator of the field's unit group
+        _capped_order(args.p, args.a, args.max_order)
         field = GaloisField(args.p, args.a)
         q = galois_affine_quandle(
             args.p, args.a, field.multiplicative_generator(), max_order=args.max_order

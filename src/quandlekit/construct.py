@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .core import QuandleTable
 from .errors import (
     DegenerateMultiplier,
@@ -24,7 +26,6 @@ from .errors import (
 from .limits import DEFAULT_TABLE_CAP, resolve_cap
 from .numth import factorize, is_prime, multiplicative_order
 from .shq import CheckOutcome
-from .structure import subtable
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,38 @@ def primitive_root(p: int) -> PrimitiveRootResult:
     return PrimitiveRootResult(p, g, h, True)
 
 
+def _capped_order(p: int, a: int, max_order: int | None) -> int:
+    """The order p**a, refused above the construction cap before any
+    primality test or field set-up.  With p >= 2, an exponent above the
+    cap's bit length is refused without forming p**a."""
+    if p < 2:
+        raise ParamOutOfRange(f"{p} is not prime")
+    if a < 1:
+        raise ParamOutOfRange(f"need a >= 1, got {a}")
+    cap = resolve_cap(max_order, DEFAULT_TABLE_CAP, env=False)
+    if a > cap.bit_length():
+        raise SizeLimitExceeded(f"order {p}^{a} exceeds construction cap {cap}")
+    order = p**a
+    if order > cap:
+        raise SizeLimitExceeded(f"order {order} exceeds construction cap {cap}")
+    return order
+
+
+def _affine_table(hx: np.ndarray, ky: np.ndarray, base: int, digits: int) -> np.ndarray:
+    """The 1-based table hx[x] + ky[y] of encodings sum(c_i * base^i), added
+    digit by digit mod base: one digit mod m for Z_m, a digits mod p for the
+    additive group of GF(p^a).  In place, in two int32 n x n arrays."""
+    table = np.ones((len(hx), len(ky)), dtype=np.int32)
+    cell = np.empty_like(table)
+    for d in range(digits):
+        place = base**d
+        np.add.outer(hx // place % base, ky // place % base, out=cell)
+        np.remainder(cell, base, out=cell)
+        cell *= place
+        table += cell
+    return table
+
+
 def affine_quandle(m: int, h: int, max_order: int | None = None) -> QuandleTable:
     """The table a * b = h*a - (h-1)*b on Z_m, labels shifted to 1..m.
 
@@ -70,22 +103,24 @@ def affine_quandle(m: int, h: int, max_order: int | None = None) -> QuandleTable
     h %= m
     if gcd(h, m) != 1:
         raise MultiplierNotInvertible(f"{h} is not a unit modulo {m}")
-    k = (1 - h) % m
-    rows = []
-    for a in range(m):
-        ha = h * a
-        rows.append([(ha + k * b) % m + 1 for b in range(m)])
-    return QuandleTable.from_rows(rows)
+    x = np.arange(m, dtype=np.int64)
+    return QuandleTable(_affine_table(h * x % m, (1 - h) * x % m, m, 1))
 
 
 def shq_family(p: int, c: int, max_order: int | None = None) -> QuandleTable:
     """Member (p, c) of the affine family: order p^(c-1), profile
     (1, (p-1)p^0, ..., (p-1)p^(c-2))."""
-    if p < 3 or not is_prime(p):
+    if p < 3:
         raise NotOddPrime(f"{p} is not an odd prime")
     if c < 2:
         raise ParamOutOfRange(f"need c >= 2, got {c}")
-    return affine_quandle(p ** (c - 1), primitive_root(p).h, max_order)
+    m = _capped_order(p, c - 1, max_order)
+    return affine_quandle(m, primitive_root(p).h, max_order)
+
+
+def _digits(k: int, p: int, count: int) -> tuple[int, ...]:
+    """The low-to-high base-p digits of k, count of them."""
+    return tuple(k // p**i % p for i in range(count))
 
 
 class GaloisField:
@@ -107,11 +142,7 @@ class GaloisField:
         """Element with integer encoding k = sum(c_i * p^i)."""
         if not 0 <= k < self.order:
             raise ParamOutOfRange(f"encoding {k} outside 0..{self.order - 1}")
-        coeffs = []
-        for _ in range(self.a):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return tuple(coeffs)
+        return _digits(k, self.p, self.a)
 
     def encode(self, x) -> int:
         out = 0
@@ -196,12 +227,7 @@ class GaloisField:
         if self.a == 1:
             return (0, 1)  # reduction modulo x: the prime field itself
         for k in range(self.order):
-            coeffs = []
-            kk = k
-            for _ in range(self.a):
-                coeffs.append(kk % self.p)
-                kk //= self.p
-            cand = tuple(coeffs) + (1,)
+            cand = _digits(k, self.p, self.a) + (1,)
             if self._is_irreducible(cand):
                 return cand
         raise ParamOutOfRange("no irreducible polynomial found")  # unreachable
@@ -210,12 +236,7 @@ class GaloisField:
         deg_f = len(f) - 1
         for d in range(1, deg_f // 2 + 1):
             for k in range(self.p**d):
-                coeffs = []
-                kk = k
-                for _ in range(d):
-                    coeffs.append(kk % self.p)
-                    kk //= self.p
-                g = coeffs + [1]
+                g = list(_digits(k, self.p, d)) + [1]
                 if self._poly_divides(g, list(f)):
                     return False
         return True
@@ -241,22 +262,19 @@ def galois_affine_quandle(
     coefficient tuple; labels follow the encoding order (encoding + 1).
     With a multiplicative generator the result has profile (1, p^a - 1).
     """
+    _capped_order(p, a, max_order)
     field = GaloisField(p, a)
-    cap = resolve_cap(max_order, DEFAULT_TABLE_CAP, env=False)
-    if field.order > cap:
-        raise SizeLimitExceeded(f"order {field.order} exceeds construction cap {cap}")
     h = field.element(multiplier) if isinstance(multiplier, int) else tuple(multiplier)
+    if len(h) != a or not all(isinstance(v, int) for v in h):
+        raise ParamOutOfRange(f"multiplier needs {a} integer coefficients, got {h}")
+    h = tuple(v % p for v in h)
     if h == field.zero or h == field.one:
         raise DegenerateMultiplier(f"multiplier {field.encode(h)} gives no quandle structure")
     k = field.sub(field.one, h)
     elems = field.elements()
-    hx = [field.mul(h, x) for x in elems]
-    ky = [field.mul(k, y) for y in elems]
-    rows = []
-    for x in range(field.order):
-        row = [field.encode(field.add(hx[x], ky[y])) + 1 for y in range(field.order)]
-        rows.append(row)
-    return QuandleTable.from_rows(rows)
+    hx = np.array([field.encode(field.mul(h, x)) for x in elems])
+    ky = np.array([field.encode(field.mul(k, y)) for y in elems])
+    return QuandleTable(_affine_table(hx, ky, p, a))
 
 
 @dataclass(frozen=True)
@@ -277,41 +295,28 @@ def family_embedding(p: int, c: int, max_order: int | None = None) -> EmbeddingR
     as the image of z -> p*z."""
     small = shq_family(p, c, max_order)
     big = shq_family(p, c + 1, max_order)
-    image = [p * (x - 1) + 1 for x in range(1, small.n + 1)]
-    checks = []
-
-    distinct = len(set(image)) == small.n and all(1 <= v <= big.n for v in image)
-    checks.append(CheckOutcome("injective", distinct, f"{small.n} distinct images"))
-
-    hom_bad = None
-    for x in range(1, small.n + 1):
-        for y in range(1, small.n + 1):
-            if big.op(image[x - 1], image[y - 1]) != image[small.op(x, y) - 1]:
-                hom_bad = (x, y)
-                break
-        if hom_bad:
-            break
-    checks.append(
+    img = p * np.arange(small.n)  # 0-based, increasing
+    size = len(set(img.tolist()))
+    distinct = size == small.n and int(img.max()) < big.n
+    products = big.array[np.ix_(img, img)]  # f(x)*f(y) for every pair (x, y)
+    bad = np.argwhere(products != img[small.array])
+    hom_bad = (int(bad[0, 0]) + 1, int(bad[0, 1]) + 1) if bad.size else None
+    rank = np.full(big.n, -1, dtype=np.int32)  # position in the image, or -1
+    rank[img] = np.arange(small.n)
+    induced = rank[products]
+    closed = bool((induced >= 0).all())
+    same = closed and np.array_equal(induced, small.array)
+    return EmbeddingReport(p, c, (
+        CheckOutcome("injective", distinct, f"{small.n} distinct images"),
         CheckOutcome(
             "homomorphism",
             hom_bad is None,
             "f(x*y) = f(x)*f(y) on all pairs" if hom_bad is None else f"fails at {hom_bad}",
-        )
-    )
-
-    img_set = set(image)
-    closed = all(
-        big.op(u, v) in img_set for u in image for v in image
-    )
-    checks.append(CheckOutcome("image_closed", closed, f"image of size {len(img_set)}"))
-
-    induced = subtable(big, image) if closed else None
-    same = induced == small if induced is not None else False
-    checks.append(
+        ),
+        CheckOutcome("image_closed", closed, f"image of size {size}"),
         CheckOutcome(
             "induced_table",
             same,
             "induced table equals the smaller member" if same else "induced table differs",
-        )
-    )
-    return EmbeddingReport(p, c, tuple(checks))
+        ),
+    ))

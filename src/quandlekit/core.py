@@ -306,7 +306,7 @@ def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
                 if not isinstance(v, int) or not 1 <= v <= n:
                     return ValidationResult(False, "EntryOutOfRange", (i, j))
         arr = np.array(rows, dtype=np.int32)
-    t = arr.astype(np.int32) - 1
+    t = np.subtract(arr, 1, dtype=np.int32)
     labels = np.arange(n)
     bad = np.flatnonzero(t.diagonal() != labels)
     if bad.size:
@@ -331,14 +331,13 @@ class QuandleTable:
     __slots__ = ("array",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(row) for row in rows)
         arr = _int_table(rows, len(rows))
         # entries numpy cannot take as one integer array go to validation as
         # they are, so its scalar scan finds the first bad one
         result = validate_quandle(rows if arr is None else arr)
         if not result.ok:
             raise InvalidQuandleError(result)
-        array = np.array(rows if arr is None else arr, dtype=np.int32) - 1
+        array = np.subtract(rows if arr is None else arr, 1, dtype=np.int32)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
 
@@ -409,23 +408,25 @@ def from_translations(perms: Sequence[Permutation]) -> QuandleTable:
     """Build the table whose columns are the given translations.
 
     The list yields a quandle exactly when R_(j*i) = R_i R_j R_i^-1 for all
-    i, j and each R_i fixes i.  The conjugation condition is checked first,
-    in lexicographic (i, j) order, then the fixed points.
+    i, j and each R_i fixes i.  The conjugation condition is checked first:
+    on bijective columns it is distributivity, decided by _distributive, and
+    only a failing list is scanned in (i, j) order for the first witness.
     """
     n = len(perms)
     if n == 0 or any(p.n != n for p in perms):
         raise ParamOutOfRange("need n permutations of degree n")
-    tbl = np.array([p.image for p in perms]).T - 1  # column i - 1 is R_i
-    inv = np.argsort(tbl, axis=0)
-    for i in range(n):
-        # column j: R_(j*i) against R_i R_j R_i^-1, compared at every point
-        bad = np.flatnonzero((tbl[:, tbl[:, i]] != tbl[tbl[inv[:, i]], i]).any(axis=0))
-        if bad.size:
-            raise ConjugationViolation(i + 1, int(bad[0]) + 1)
+    tbl = np.column_stack([p.image for p in perms]) - 1  # column i - 1 is R_i
+    if not _distributive(tbl):
+        inv = np.argsort(tbl, axis=0)
+        for i in range(n):
+            # column j: R_(j*i) against R_i R_j R_i^-1, compared at every point
+            bad = np.flatnonzero((tbl[:, tbl[:, i]] != tbl[tbl[inv[:, i]], i]).any(axis=0))
+            if bad.size:
+                raise ConjugationViolation(i + 1, int(bad[0]) + 1)
     bad = np.flatnonzero(tbl.diagonal() != np.arange(n))
     if bad.size:
         raise FixedPointMissing(int(bad[0]) + 1)
-    return QuandleTable.from_rows((tbl + 1).tolist())
+    return QuandleTable._from_array(tbl)
 
 
 def _decimal_ints(text: str) -> list[int]:

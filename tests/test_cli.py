@@ -252,6 +252,44 @@ class TestConstruct:
             main(["construct", "affine", "--m", "3", "--h", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["cyclic", "--p", "3", "--a", "4"],
+             "2f50dbb4cccd1321ce9349373945b27840c80551362050f2d62974e418eaf435"),
+            (["affine", "--m", "343", "--h", "3"],
+             "ace7c6fd7e924e4cd2d53927da0e8280cf0d70dc2797a8c0a7df4200768eefa4"),
+        ],
+    )
+    def test_pinned_tables(self, capsys, tmp_path, argv, digest):
+        # sha256 of the files the per-cell builders wrote
+        out = tmp_path / "t.qdl"
+        assert main(["construct", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cyclic", "--p", "2", "--a", "32"],
+            ["cyclic", "--p", "2", "--a", "40"],
+            ["galois", "--p", "2", "--a", "40", "--multiplier", "2"],
+            ["shq-family", "--p", "3", "--c", "30000000"],
+            ["shq-family", "--p", "1000000000000000003", "--c", "2"],
+            ["galois", "--p", "1000000000000000003", "--a", "1", "--multiplier", "2"],
+        ],
+    )
+    def test_oversized_refused_before_set_up(self, tmp_path, argv):
+        out = tmp_path / "x.qdl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quandlekit.cli", "construct", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert "exceeds construction cap 2048" in proc.stderr
+        assert not out.exists()
+
     def test_max_order_cap(self, capsys, tmp_path):
         out = tmp_path / "x.qdl"
         code = main(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from quandlekit import construct
 from quandlekit import (
     DegenerateMultiplier,
     GaloisField,
@@ -225,6 +226,55 @@ class TestGaloisAffineQuandle:
     def test_cap(self):
         with pytest.raises(SizeLimitExceeded):
             galois_affine_quandle(2, 5, 2, max_order=16)
+
+    def test_tuple_multiplier_reduced_before_degenerate_check(self):
+        with pytest.raises(DegenerateMultiplier):
+            galois_affine_quandle(3, 2, (0, 3))  # (0, 0) mod 3
+        assert galois_affine_quandle(3, 2, (-1, 1)) == galois_affine_quandle(3, 2, (2, 1))
+
+    @pytest.mark.parametrize("multiplier", [(2,), (1, 0, 0), (2.0, 1)])
+    def test_tuple_multiplier_needs_a_integer_coefficients(self, multiplier):
+        with pytest.raises(ParamOutOfRange):
+            galois_affine_quandle(3, 2, multiplier)
+
+
+class TestCapBeforeSetUp:
+    """Oversized orders are refused before any primality test, field set-up
+    or primitive root search, and without forming a huge p**a."""
+
+    @pytest.fixture(autouse=True)
+    def no_primality_tests(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) ran before the cap check")
+
+        monkeypatch.setattr(construct, "is_prime", refuse)
+
+    def test_galois(self):
+        for p, a in [(2, 12), (2, 40), (1000000000000000003, 1), (3, 10**9)]:
+            with pytest.raises(SizeLimitExceeded, match="exceeds construction cap 2048"):
+                galois_affine_quandle(p, a, 2)
+
+    def test_invalid_p_with_oversized_order(self):
+        # the cap is read before primality, so p = 4 is refused for its size
+        with pytest.raises(SizeLimitExceeded):
+            galois_affine_quandle(4, 40, 2)
+        with pytest.raises(SizeLimitExceeded):
+            shq_family(9, 30)
+
+    def test_shq_family(self):
+        for p, c in [(3, 30000000), (1000000000000000003, 2), (3, 9)]:
+            with pytest.raises(SizeLimitExceeded, match="exceeds construction cap"):
+                shq_family(p, c)
+
+    def test_cheap_checks_come_first(self):
+        with pytest.raises(ParamOutOfRange, match="1 is not prime"):
+            galois_affine_quandle(1, 40, 2)
+        with pytest.raises(ParamOutOfRange, match="need a >= 1"):
+            galois_affine_quandle(3, 0, 2)
+        with pytest.raises(NotOddPrime):
+            shq_family(2, 40)
+        with pytest.raises(ParamOutOfRange, match="need c >= 2"):
+            shq_family(3, 1)
 
 
 class TestFamilyEmbedding:

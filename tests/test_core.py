@@ -370,6 +370,16 @@ class TestFromTranslations:
             from_translations([sigma, sigma, sigma])
         assert exc.value.witness == (1,)
 
+    def test_valid_translations_are_not_revalidated(self, monkeypatch, shq_fixtures):
+        calls = []
+        real = core.validate_quandle
+        monkeypatch.setattr(
+            core, "validate_quandle", lambda rows: calls.append(len(rows)) or real(rows)
+        )
+        for name, q in shq_fixtures:
+            assert from_translations(translations(q)) == q, name
+        assert calls == []
+
     def test_conjugation_identity_holds_on_valid_tables(self, q94):
         perms = translations(q94)
         for i in range(1, 10):

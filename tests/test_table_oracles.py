@@ -16,23 +16,31 @@ before, on stacks of its own candidate tables.
 enumeration went orbit by orbit: every closed set from the breadth-first
 growth of `reference_enumerate_sets`, each with its own subtable, profile and
 isomorphism test.  test_structure.py compares `enumerate_subquandles` with it.
+
+`reference_affine_rows` and `reference_galois_rows` are the per-cell loops
+the affine constructions ran before they shared the array kernel
+`construct._affine_table`; `reference_family_embedding` is the pairwise
+`op` loop `family_embedding` ran before its one gather.
 """
 
 import random
 import sys
 from collections import deque
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
     ConjugationCheck,
     ConjugationViolation,
+    EmbeddingReport,
     FixBlockPartition,
     FixedPointMissing,
+    GaloisField,
     LcmCheck,
     NotAPartition,
     NotCanonicalForm,
@@ -44,14 +52,17 @@ from quandlekit import (
     QuandleTable,
     SubquandleEntry,
     SubquandleInventory,
+    affine_quandle,
     are_isomorphic,
     canonical_relabel,
     check_conjugation_relations,
     check_lcm_divisibility,
     enumerate_subquandles,
+    family_embedding,
     fix_block_report,
     fix_blocks,
     from_translations,
+    galois_affine_quandle,
     is_connected,
     is_latin,
     orbits,
@@ -62,7 +73,9 @@ from quandlekit import (
     translations,
     verify_main_theorem,
 )
+from quandlekit import construct
 from quandlekit.core import _close_mask
+from quandlekit.shq import CheckOutcome
 from quandlekit.search import _closed, _cycle_candidates, _Searcher
 from conftest import dihedral_quandle, relabel
 from test_core import relabelled_rows
@@ -315,6 +328,66 @@ def reference_inventory(q: QuandleTable) -> SubquandleInventory:
     ))
 
 
+def reference_affine_rows(m: int, h: int) -> list[list[int]]:
+    """a * b = h*a + (1-h)*b on Z_m, 1-based, one cell at a time."""
+    h %= m
+    k = (1 - h) % m
+    rows = []
+    for a in range(m):
+        ha = h * a
+        rows.append([(ha + k * b) % m + 1 for b in range(m)])
+    return rows
+
+
+def reference_galois_rows(p: int, a: int, multiplier) -> list[list[int]]:
+    """x * y = h*x + (1-h)*y over GF(p^a), 1-based, one field addition and
+    encoding per cell; multiplier is an encoding or a coefficient tuple."""
+    field = GaloisField(p, a)
+    h = field.element(multiplier) if isinstance(multiplier, int) else tuple(multiplier)
+    k = field.sub(field.one, h)
+    elems = field.elements()
+    hx = [field.mul(h, x) for x in elems]
+    ky = [field.mul(k, y) for y in elems]
+    rows = []
+    for x in range(field.order):
+        rows.append([field.encode(field.add(hx[x], ky[y])) + 1 for y in range(field.order)])
+    return rows
+
+
+def reference_family_embedding(p: int, c: int) -> EmbeddingReport:
+    """The embedding checks by one `op` call per pair; reads the members
+    through `construct.shq_family`, so a patched family reaches it too."""
+    small = construct.shq_family(p, c)
+    big = construct.shq_family(p, c + 1)
+    image = [p * (x - 1) + 1 for x in range(1, small.n + 1)]
+    checks = []
+    distinct = len(set(image)) == small.n and all(1 <= v <= big.n for v in image)
+    checks.append(CheckOutcome("injective", distinct, f"{small.n} distinct images"))
+    hom_bad = None
+    for x in range(1, small.n + 1):
+        for y in range(1, small.n + 1):
+            if big.op(image[x - 1], image[y - 1]) != image[small.op(x, y) - 1]:
+                hom_bad = (x, y)
+                break
+        if hom_bad:
+            break
+    checks.append(CheckOutcome(
+        "homomorphism",
+        hom_bad is None,
+        "f(x*y) = f(x)*f(y) on all pairs" if hom_bad is None else f"fails at {hom_bad}",
+    ))
+    img_set = set(image)
+    closed = all(big.op(u, v) in img_set for u in image for v in image)
+    checks.append(CheckOutcome("image_closed", closed, f"image of size {len(img_set)}"))
+    same = subtable(big, image) == small if closed else False
+    checks.append(CheckOutcome(
+        "induced_table",
+        same,
+        "induced table equals the smaller member" if same else "induced table differs",
+    ))
+    return EmbeddingReport(p, c, tuple(checks))
+
+
 def outcome(fn, *args):
     """fn's result, or its exception's type and message."""
     try:
@@ -479,3 +552,57 @@ class TestLibraryBuildsNoPermutations:
         assert calls == []
         translations(q)
         assert len(calls) == q.n  # the spy sees calls through the package
+
+
+# the fields GF(p^a) of order at most 81, those with a > 1 first
+SMALL_FIELDS = sorted(
+    ((p, a) for p in range(2, 82) if all(p % d for d in range(2, p))
+     for a in range(1, 7) if p**a <= 81),
+    key=lambda pa: (pa[1] == 1, pa[0] ** pa[1]),
+)
+
+
+class TestAffineKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 64))
+    def test_affine_matches_reference(self, m):
+        for h in range(m):
+            if gcd(h, m) == 1:
+                want = np.array(reference_affine_rows(m, h)) - 1
+                assert np.array_equal(affine_quandle(m, h).array, want), h
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(SMALL_FIELDS))
+    def test_galois_matches_reference(self, field_params):
+        p, a = field_params
+        field = GaloisField(p, a)
+        for k in range(2, p**a):
+            want = np.array(reference_galois_rows(p, a, k)) - 1
+            assert np.array_equal(galois_affine_quandle(p, a, k).array, want), k
+            assert np.array_equal(galois_affine_quandle(p, a, field.element(k)).array, want), k
+
+
+class TestFamilyEmbeddingOracle:
+    @pytest.mark.parametrize("p,c", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+    def test_members_match_reference(self, p, c):
+        report = family_embedding(p, c)
+        assert report.passed
+        assert report == reference_family_embedding(p, c)
+
+    @pytest.mark.parametrize("relabelled", [3, 4])
+    def test_relabelled_member_matches_reference(self, monkeypatch, relabelled):
+        # family member (3, relabelled) comes back relabelled, so the
+        # homomorphism fails, and for the big member the image's closure too
+        real = construct.shq_family
+        image = list(range(1, 3 ** (relabelled - 1) + 1))
+        random.Random(relabelled).shuffle(image)
+        sigma = Permutation(image)
+
+        def family(p, c, max_order=None):
+            q = real(p, c, max_order)
+            return relabel(q, sigma) if c == relabelled else q
+
+        monkeypatch.setattr(construct, "shq_family", family)
+        report = family_embedding(3, 3)
+        assert not report.passed
+        assert report == reference_family_embedding(3, 3)
