@@ -21,7 +21,7 @@ from .construct import (
     galois_affine_quandle,
     shq_family,
 )
-from .core import ValidationResult, parse_qdl, write_qdl
+from .core import ValidationResult, read_qdl, write_qdl
 from .errors import (
     InvalidQuandleError,
     ParseError,
@@ -40,11 +40,6 @@ def _parse_profile(text: str) -> tuple[int, ...]:
     return lengths
 
 
-def _load(path: str):
-    text = Path(path).read_text()
-    return parse_qdl(text)
-
-
 def _emit_json(payload: dict, out: str | None) -> None:
     blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
@@ -54,9 +49,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
-    text = Path(args.path).read_text()
     try:
-        q = parse_qdl(text)
+        q = read_qdl(args.path)
         result = ValidationResult(ok=True, order=q.n)
     except InvalidQuandleError as exc:
         result = exc.result
@@ -77,7 +71,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    q = _load(args.path)
+    q = read_qdl(args.path)
     prof = profile(q)
     params = _classify(prof)
     report = {

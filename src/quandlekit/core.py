@@ -5,9 +5,9 @@ Column i therefore lists the right translation R_i, the map j -> j * i.  A
 table is a quandle when every i * i = i, every column is a bijection, and
 (i * j) * k = (i * k) * (j * k) holds for all triples.
 
-The .qdl text format: optional '#' comment lines, then the order n on its own
-line, then n rows of n whitespace-separated integers, all ASCII decimal
-(an optional leading '-', then digits 0-9).  The writer emits the
+The .qdl text format, read as UTF-8: optional '#' comment lines, then the
+order n on its own line, then n rows of n whitespace-separated integers, all
+ASCII decimal (an optional leading '-', then digits 0-9).  The writer emits the
 canonical form (no comments unless asked, single spaces, trailing newline), so
 parse(format(q)) round-trips bit-exactly.
 """
@@ -274,14 +274,12 @@ def _first_mismatch(tbl: np.ndarray) -> tuple[int, int, int] | None:
 
 
 def _int_table(rows: Sequence[Sequence[int]], n: int) -> np.ndarray | None:
-    """rows as one integer array when it is n x n with entries in 1..n, else None."""
+    """rows as one n x n integer array, or None when numpy makes no such array."""
     try:
         arr = np.asarray(rows)
     except ValueError:  # ragged below the row level
         return None
-    if arr.dtype.kind in "iu" and arr.shape == (n, n) and arr.min() >= 1 and arr.max() <= n:
-        return arr
-    return None
+    return arr if arr.dtype.kind in "iu" and arr.shape == (n, n) else None
 
 
 def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
@@ -306,6 +304,9 @@ def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
                 if not isinstance(v, int) or not 1 <= v <= n:
                     return ValidationResult(False, "EntryOutOfRange", (i, j))
         arr = np.array(rows, dtype=np.int32)
+    elif arr.min() < 1 or arr.max() > n:
+        i, j = np.argwhere((arr < 1) | (arr > n))[0]
+        return ValidationResult(False, "EntryOutOfRange", (int(i) + 1, int(j) + 1))
     t = np.subtract(arr, 1, dtype=np.int32)
     labels = np.arange(n)
     bad = np.flatnonzero(t.diagonal() != labels)
@@ -441,12 +442,61 @@ def _decimal_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split()]
 
 
+def _scalar_rows(body: list[tuple[int, str]], n: int) -> list[list[int]]:
+    """The integers of each (line number, line) of body, checked one line at
+    a time; raises ParseError at the first line that is not n integers."""
+    rows = []
+    for lineno, line in body:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
+        try:
+            rows.append(_decimal_ints(line))
+        except ValueError:
+            raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
+    return rows
+
+
+# parse_qdl checks and converts the body in blocks of lines of about this many
+# bytes, so the temporaries of _first_flagged stay small next to the table
+_BLOCK_BYTES = 1 << 16
+
+
+def _first_flagged(body: bytes, n: int) -> int | None:
+    """Index of the first of the b"\n"-joined lines of body that is not n
+    tokens of 1 to 9 ASCII digits, separated by spaces or tabs; None if none.
+
+    Array operations over the bytes count the token starts of each line and
+    flag a line with any other byte or with 10 digits in a row.  Such a line need not be an error ('-1' is not); the caller reads
+    it with the scalar check.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    digit = (buf - 48) < 10  # uint8 wraps below '0'
+    breaks = np.flatnonzero(buf == 10)
+    starts = digit.copy()
+    starts[1:] &= ~digit[:-1]
+    flagged = np.add.reduceat(starts, np.r_[0, breaks + 1], dtype=np.intp) != n
+    other = ~(digit | (buf == 32) | (buf == 9))
+    other[breaks] = False
+    long = digit[: max(buf.size - 9, 0)].copy()  # long[p]: digits at p .. p + 9
+    for s in range(1, 10):
+        long &= digit[s : s + long.size]
+    for mask in (other, long):
+        flagged[np.searchsorted(breaks, np.flatnonzero(mask))] = True
+    bad = np.flatnonzero(flagged)
+    return int(bad[0]) if bad.size else None
+
+
 def parse_qdl(text: str) -> QuandleTable:
     """Parse .qdl text; raises ParseError (with line number) on format errors.
 
     Integers are ASCII decimal, optionally negative: no '+', no '_', no
     other digit scripts.  An order above the table cap (2048, or
-    QUANDLEKIT_MAX_ORDER) is refused before any row is converted.
+    QUANDLEKIT_MAX_ORDER) is refused before any row is converted.  The body
+    is checked (_first_flagged) and converted by array operations, a block
+    of lines at a time.  From the first line the check flags, the rows go
+    through the scalar check: it names the failing line, or it keeps
+    entries such as -1 or 2**64 for the validator's witness.
     """
     data: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -475,29 +525,41 @@ def parse_qdl(text: str) -> QuandleTable:
     cap = resolve_cap(None, DEFAULT_TABLE_CAP)
     if n > cap:
         raise ParseError(f"order {n} exceeds the cap {cap} ({ENV_MAX_ORDER})", lineno)
-    rows = []
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
-        try:
-            rows.append(_decimal_ints(line))
-        except ValueError:
-            raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
-    return QuandleTable.from_rows(rows)
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // len(body[0][1]))
+    for lo in range(0, n, step):
+        # non-ASCII text becomes bytes the check flags
+        raw = "\n".join(line for _, line in body[lo : lo + step]).encode("utf-8", "replace")
+        k = _first_flagged(raw, n)
+        if k is not None:
+            # the lines before passed a stricter check, so the first error is at k or later
+            rows = _scalar_rows(body[lo + k :], n)
+            return QuandleTable.from_rows(_scalar_rows(body[: lo + k], n) + rows)
+        table[lo : lo + step] = np.fromstring(raw, dtype=np.int32, sep=" ").reshape(-1, n)
+    return QuandleTable(table)
 
 
 def format_qdl(q: QuandleTable, comments: Iterable[str] = ()) -> str:
     """Serialize to canonical .qdl text (optional leading comment lines)."""
     out = [f"# {c}" for c in comments]
     out.append(str(q.n))
-    out.extend(" ".join(map(str, row)) for row in (q.array + 1).tolist())
+    labels = np.array([str(x) for x in range(1, q.n + 1)], dtype=object)
+    out.extend(map(" ".join, labels[q.array].tolist()))
     return "\n".join(out) + "\n"
 
 
 def read_qdl(path: str | Path) -> QuandleTable:
-    return parse_qdl(Path(path).read_text())
+    """Parse a .qdl file, read as UTF-8; undecodable bytes are a ParseError
+    at the line of the first of them."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "x" stands in for the bad byte, so splitlines counts the line it is on
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not valid UTF-8 (byte {raw[exc.start]:#04x})", line) from None
+    return parse_qdl(text)
 
 
 def write_qdl(q: QuandleTable, path: str | Path, comments: Iterable[str] = ()) -> None:
-    Path(path).write_text(format_qdl(q, comments))
+    Path(path).write_text(format_qdl(q, comments), encoding="utf-8")

@@ -3,11 +3,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from quandlekit import (
     GaloisField,
     Permutation,
     QuandleTable,
+    affine_quandle,
     galois_affine_quandle,
     shq_family,
 )
@@ -56,6 +58,27 @@ def cyclic_type_quandle(p: int, a: int) -> QuandleTable:
     """Galois affine quandle whose multiplier generates the unit group."""
     field = GaloisField(p, a)
     return galois_affine_quandle(p, a, field.multiplicative_generator())
+
+
+# Connected and disconnected quandles of order <= 12; affine (8, 5) and
+# (12, 7) hold non-isomorphic subquandles of one order.
+SMALL = (
+    [trivial_quandle(n) for n in (1, 2, 4)]
+    + [dihedral_quandle(n) for n in (3, 4, 6, 8, 10, 12)]
+    + [affine_quandle(m, h) for m, h in ((5, 2), (7, 3), (9, 2), (11, 2), (8, 5), (12, 7))]
+    + [cyclic_type_quandle(2, 2), cyclic_type_quandle(2, 3)]
+)
+
+# Tables whose R_1 has distinct cycle lengths, so canonical_relabel applies.
+SHQS = [shq_family(p, c) for p, c in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2))] + [
+    cyclic_type_quandle(p, a) for p, a in ((2, 2), (2, 3), (2, 4), (3, 2))
+]
+
+
+@st.composite
+def relabelled(draw, bank):
+    q = draw(st.sampled_from(bank))
+    return relabel(q, Permutation(draw(st.permutations(range(1, q.n + 1)))))
 
 
 @pytest.fixture(scope="session")

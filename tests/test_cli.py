@@ -412,6 +412,22 @@ class TestParser:
         assert exc.value.code == 2
 
 
+class TestUndecodableFile:
+    @pytest.mark.parametrize("command", [["validate"], ["analyze", "--json"]])
+    def test_exit_2_without_traceback(self, tmp_path, command):
+        path = tmp_path / "bad.qdl"
+        path.write_bytes(b"3\n1 3 2\n3 2 1\n2 1 \xff3\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quandlekit.cli", *command, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: line 4:")
+        assert "Traceback" not in proc.stderr
+
+
 class TestSubprocess:
     def test_module_entry_point(self):
         proc = subprocess.run(

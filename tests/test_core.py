@@ -4,6 +4,7 @@ import random
 import re
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,6 +259,15 @@ class TestValidateQuandle:
         assert validate_quandle([(True, True), (2, 2)]).ok  # bools are ints
         assert validate_quandle([(True, True), (2, 3)]).witness == (2, 2)
 
+    def test_integer_arrays_name_their_first_bad_entry(self):
+        # an integer ndarray is range-checked as an array, not entry by entry
+        for dtype in (np.int32, np.int64, np.uint8):
+            for rows, witness in (([[1, 3], [2, 2]], (1, 2)), ([[1, 1], [0, 2]], (2, 1))):
+                assert validate_quandle(np.array(rows, dtype=dtype)).witness == witness
+                with pytest.raises(InvalidQuandleError) as exc:
+                    QuandleTable(np.array(rows, dtype=dtype))
+                assert exc.value.result.witness == witness
+
     def test_str_reports_witness(self):
         result = validate_quandle([(1, 1, 1), (2, 2, 2), (3, 3, 2)])
         assert "IdempotencyViolation" in str(result) and "(3,)" in str(result)
@@ -493,6 +503,28 @@ class TestQdlFormat:
         path = tmp_path_factory.mktemp("qdl") / "t.qdl"
         path.write_text(mutated)
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            (b"3\n1 3 2\n3 2 1\n2 1 \xff3\n", 4),
+            (b"# caf\xe9\n1\n1\n", 1),
+            (b"\xfe\n1\n1\n", 1),
+            (b"1\r\n1\r\x80", 3),
+            (b"# \xe2\x88\x97 ok\n2\n1 1\n2 2\xc3\n", 4),
+        ],
+    )
+    def test_undecodable_bytes_are_a_parse_error(self, tmp_path, raw, line):
+        path = tmp_path / "t.qdl"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=f"^line {line}: not valid UTF-8") as exc:
+            read_qdl(path)
+        assert exc.value.line == line
+
+    def test_utf8_comments_are_read(self, tmp_path):
+        path = tmp_path / "t.qdl"
+        path.write_bytes("# r\u00e9sum\u00e9 \u2217\r\n1\r\n1\r\n".encode())
+        assert read_qdl(path) == trivial_quandle(1)
 
     def test_negative_entry_reaches_validation(self):
         with pytest.raises(InvalidQuandleError) as exc:

@@ -32,7 +32,15 @@ from quandlekit import (
     validate_quandle,
 )
 from quandlekit import structure
-from conftest import cyclic_type_quandle, dihedral_quandle, relabel, trivial_quandle
+from conftest import (
+    SHQS,
+    SMALL,
+    cyclic_type_quandle,
+    dihedral_quandle,
+    relabel,
+    relabelled,
+    trivial_quandle,
+)
 from test_table_oracles import reference_inventory
 
 
@@ -263,27 +271,6 @@ class TestEnumerationBackends:
     def test_agree_on_disconnected(self):
         for q in (trivial_quandle(5), dihedral_quandle(6), dihedral_quandle(8)):
             self.agree(q)
-
-
-# Connected and disconnected quandles of order <= 12; affine (8, 5) and
-# (12, 7) hold non-isomorphic subquandles of one order.
-SMALL = (
-    [trivial_quandle(n) for n in (1, 2, 4)]
-    + [dihedral_quandle(n) for n in (3, 4, 6, 8, 10, 12)]
-    + [affine_quandle(m, h) for m, h in ((5, 2), (7, 3), (9, 2), (11, 2), (8, 5), (12, 7))]
-    + [cyclic_type_quandle(2, 2), cyclic_type_quandle(2, 3)]
-)
-
-# Tables whose R_1 has distinct cycle lengths, so canonical_relabel applies.
-SHQS = [shq_family(p, c) for p, c in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2))] + [
-    cyclic_type_quandle(p, a) for p, a in ((2, 2), (2, 3), (2, 4), (3, 2))
-]
-
-
-@st.composite
-def relabelled(draw, bank):
-    q = draw(st.sampled_from(bank))
-    return relabel(q, Permutation(draw(st.permutations(range(1, q.n + 1)))))
 
 
 class TestDerivedTableOracles:

@@ -21,6 +21,12 @@ isomorphism test.  test_structure.py compares `enumerate_subquandles` with it.
 the affine constructions ran before they shared the array kernel
 `construct._affine_table`; `reference_family_embedding` is the pairwise
 `op` loop `family_embedding` ran before its one gather.
+
+`reference_parse_qdl` is the `.qdl` reader as it was before the body was read
+as one array: one `int()` per token and one list per row.  It and the
+per-cell writer `reference_format_qdl` are compared with `parse_qdl` and
+`format_qdl` on relabelled and trivial tables in varied layouts, with and
+without broken, hostile or oversized tokens.
 """
 
 import random
@@ -28,6 +34,7 @@ import sys
 from collections import deque
 from functools import lru_cache
 from math import gcd, lcm
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -46,6 +53,7 @@ from quandlekit import (
     NotCanonicalForm,
     NotRelabelable,
     ParamOutOfRange,
+    ParseError,
     Permutation,
     Profile,
     ProfileInconsistency,
@@ -61,11 +69,13 @@ from quandlekit import (
     family_embedding,
     fix_block_report,
     fix_blocks,
+    format_qdl,
     from_translations,
     galois_affine_quandle,
     is_connected,
     is_latin,
     orbits,
+    parse_qdl,
     profile,
     right_translation,
     shq_family,
@@ -73,11 +83,12 @@ from quandlekit import (
     translations,
     verify_main_theorem,
 )
-from quandlekit import construct
+from quandlekit import construct, core
 from quandlekit.core import _close_mask
+from quandlekit.limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
 from quandlekit.shq import CheckOutcome
 from quandlekit.search import _closed, _cycle_candidates, _Searcher
-from conftest import dihedral_quandle, relabel
+from conftest import SHQS, SMALL, dihedral_quandle, relabel, relabelled, trivial_quandle
 from test_core import relabelled_rows
 
 
@@ -388,12 +399,68 @@ def reference_family_embedding(p: int, c: int) -> EmbeddingReport:
     return EmbeddingReport(p, c, tuple(checks))
 
 
+def _reference_decimal_ints(text: str) -> list[int]:
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"not ASCII decimal: {text!r}")
+    return [int(tok) for tok in text.split()]
+
+
+def reference_parse_qdl(text: str) -> QuandleTable:
+    """Line by line, one int() per token, then the nested rows to from_rows."""
+    data: list[tuple[int, str]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        data.append((lineno, stripped))
+    if not data:
+        raise ParseError("no table data found")
+    lineno, head = data[0]
+    tokens = head.split()
+    if len(tokens) != 1:
+        raise ParseError(f"expected a single order, found {head!r}", lineno)
+    try:
+        (n,) = _reference_decimal_ints(tokens[0])
+    except ValueError:
+        raise ParseError(f"invalid order {tokens[0]!r}", lineno) from None
+    if n < 1:
+        raise ParseError(f"order must be positive, found {n}", lineno)
+    body = data[1:]
+    if len(body) < n:
+        last = data[-1][0]
+        raise ParseError(f"expected {n} rows, file ends after {len(body)}", last)
+    if len(body) > n:
+        raise ParseError("unexpected content after table", body[n][0])
+    cap = resolve_cap(None, DEFAULT_TABLE_CAP)
+    if n > cap:
+        raise ParseError(f"order {n} exceeds the cap {cap} ({ENV_MAX_ORDER})", lineno)
+    rows = []
+    for lineno, line in body:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
+        try:
+            rows.append(_reference_decimal_ints(line))
+        except ValueError:
+            raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
+    return QuandleTable.from_rows(rows)
+
+
+def reference_format_qdl(q: QuandleTable, comments=()) -> str:
+    out = [f"# {c}" for c in comments]
+    out.append(str(q.n))
+    out.extend(" ".join(map(str, row)) for row in (q.array + 1).tolist())
+    return "\n".join(out) + "\n"
+
+
 def outcome(fn, *args):
-    """fn's result, or its exception's type and message."""
+    """fn's result, or its exception's type and message, and the line of a
+    ParseError or the validation result of an InvalidQuandleError."""
     try:
         return fn(*args)
     except Exception as exc:  # compared, not handled
-        return type(exc).__name__, str(exc)
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "result", None))
 
 
 # a random relabelling of an affine, family, trivial or even-order dihedral
@@ -606,3 +673,97 @@ class TestFamilyEmbeddingOracle:
         report = family_embedding(3, 3)
         assert not report.passed
         assert report == reference_family_embedding(3, 3)
+
+
+# Tokens that break a row, or that the array reader leaves to the scalar check.
+HOSTILE_TOKENS = ["-1", "3-4", "--3", "+3", "0_3", "\u0663"]
+OVERSIZED_TOKENS = [
+    "0000000001", "1000000000", "0" * 18 + "1", "1" * 19, "0" * 19 + "1", "9" * 20,
+    str(2**63), str(2**64),
+]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\t\t"]
+COMMENTS = ["#", "# c", "  # indented", "# r\u00e9sum\u00e9 \u2217 \u0663"]
+
+
+@st.composite
+def qdl_texts(draw):
+    """(table, .qdl text, mutated) for a relabelled SMALL/SHQS table or a
+    trivial table.  The layout varies: separators, CRLF, blank and comment
+    lines, leading zeros.  Up to two mutations follow: a token moved to
+    another row (the total stays n^2), a hostile or oversized token, or a
+    control or non-ASCII space inside a row."""
+    q = draw(relabelled(SMALL + SHQS) | st.integers(1, 8).map(trivial_quandle))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[str(v).zfill(len(str(v)) + rng.choice([0, 0, 0, 1, 3])) for v in row]
+            for row in (q.array + 1).tolist()]
+    mutations = draw(st.lists(st.sampled_from(["move", "token", "oversized", "control"]),
+                              max_size=2))
+    for mutation in mutations:
+        r = rng.randrange(q.n)
+        if mutation == "move" and q.n > 1:
+            rows[(r + rng.randrange(1, q.n)) % q.n].append(rows[r].pop())
+        elif mutation == "token":
+            rows[r][rng.randrange(len(rows[r]))] = rng.choice(HOSTILE_TOKENS)
+        elif mutation == "oversized":
+            # the last choice wraps to the entry it replaces in 32 bits
+            c = rng.randrange(len(rows[r]))
+            t = rows[r][c]
+            wrap = str(2**32 + (int(t) if t.isascii() and t.isdigit() else 1))
+            rows[r][c] = rng.choice(OVERSIZED_TOKENS + [wrap])
+        elif mutation == "control":
+            c = rng.randrange(len(rows[r]))
+            cut = rng.randrange(len(rows[r][c]) + 1)
+            rows[r][c] = rows[r][c][:cut] + rng.choice("\x0c\x1c\x1f\xa0") + rows[r][c][cut:]
+    lines = [str(q.n)] + [
+        rng.choice(["", " "]) + "".join(t + rng.choice(SEPARATORS) for t in row).rstrip()
+        for row in rows
+    ]
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(COMMENTS + ["", " \t"]))
+    newline = rng.choice(["\n", "\r\n"])
+    return q, newline.join(lines) + rng.choice([newline, ""]), bool(mutations)
+
+
+class TestQdlOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(qdl_texts(), st.sampled_from([1, 20, 100, 1 << 16]))
+    def test_parse_matches_reference(self, case, block_bytes):
+        # small blocks put the flagged line in a later block than the first
+        q, text, mutated = case
+        with patch.object(core, "_BLOCK_BYTES", block_bytes):
+            got = outcome(parse_qdl, text)
+        assert got == outcome(reference_parse_qdl, text)
+        if not mutated:
+            assert got == q
+
+    @pytest.mark.parametrize("text, expected", [
+        ("3\n1 1 1\n2 2 2 2\n3 3\n", ("ParseError", 3)),
+        ("2\n1 1\n2 -1\n", ("EntryOutOfRange", (2, 2))),
+        ("2\n1 -1\n2 2 2\n", ("ParseError", 3)),
+        ("2\n1 1\n2\x1f2\n", ("valid", 2)),
+        ("2\n1 0000000001\n2 2\n", ("valid", 2)),
+        (f"2\n1 {2**64}\n2 2\n", ("EntryOutOfRange", (1, 2))),
+        ("2\n1 1\n2 3-4\n", ("ParseError", 3)),
+        (f"2\n1 1\n2 {2**32 + 2}\n", ("EntryOutOfRange", (2, 2))),
+    ])
+    def test_flagged_lines(self, text, expected):
+        # a flagged line is either the error or read by the scalar check
+        got = outcome(parse_qdl, text)
+        assert got == outcome(reference_parse_qdl, text)
+        if isinstance(got, QuandleTable):
+            assert ("valid", got.n) == expected
+        elif got[0] == "ParseError":
+            assert ("ParseError", got[2]) == expected
+        else:
+            assert (got[3].error, got[3].witness) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relabelled(SMALL + SHQS),
+        st.lists(st.sampled_from(["c", "a comment", "r\u00e9sum\u00e9 \u2217"]), max_size=2),
+    )
+    def test_format_matches_reference(self, q, comments):
+        text = format_qdl(q, comments)
+        assert text == reference_format_qdl(q, comments)
+        assert parse_qdl(text) == q
+        assert parse_qdl(format_qdl(q)) == q
