@@ -21,7 +21,7 @@ from .construct import (
     galois_affine_quandle,
     shq_family,
 )
-from .core import ValidationResult, read_qdl, write_qdl
+from .core import ValidationResult, _decimal_ints, read_qdl, write_qdl
 from .errors import (
     InvalidQuandleError,
     ParseError,
@@ -33,11 +33,17 @@ from .structure import enumerate_subquandles, is_latin, profile
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
+    """One ASCII decimal integer per comma-separated part."""
     try:
-        lengths = tuple(int(part) for part in text.split(","))
+        lengths = tuple(_one_int(part) for part in text.split(","))
     except ValueError:
         raise QuandleKitError(f"profile must be comma-separated integers, got {text!r}")
     return lengths
+
+
+def _one_int(part: str) -> int:
+    (value,) = _decimal_ints(part)
+    return value
 
 
 def _emit_json(payload: dict, out: str | None) -> None:

@@ -11,11 +11,11 @@ connected, and match the profile.  Filters run cheapest first; the survivors
 at each stage are reported for tuning.
 
 Permutations are 0-based integer arrays, the column form of QuandleTable.array:
-a block's candidates are the rows of one (K, n) array, its translations are
-gathers by powers of R_1, and a partial table keeps R_u in column u.  One
-batched check, _closed, tests the conjugation closure on a stack of partial
-tables: the unary filter calls it on R_1 and one block, the depth-first tree
-on the assigned prefix.
+a block's candidates come as (_SLICE, n) arrays of rows unranked from their row
+numbers, its translations are gathers by powers of R_1, and a partial table
+keeps R_u in column u.  One batched check, _closed, tests the conjugation
+closure on a stack of partial tables: the unary filter calls it on one block
+and R_1, the depth-first tree on the assigned prefix.
 
 naive_connected_quandles is the independent reference for tiny orders: plain
 depth-first assignment of columns with direct axiom checks, sharing nothing
@@ -31,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +47,11 @@ from .limits import DEFAULT_SEARCH_CAP, resolve_cap
 from .shq import _block_bounds, _canonical_r1, _label_block_lengths
 from .structure import _group_isomorphic, is_connected, profile
 
-# Candidate generators are materialized per block; past this count the
-# enumeration would dominate memory and time, so the search refuses upfront.
+# Candidate generators are enumerated per block; past this count the
+# enumeration would dominate the run time, so the search refuses upfront.
 _RAW_CANDIDATE_LIMIT = 1_000_000
-# Raw candidates are filtered this many rows at a time, which bounds the
-# memory of the partial tables the closure check reads.
+# Raw candidates are generated and filtered this many rows at a time, which
+# bounds the memory of the rows and of the partial tables the closure check reads.
 _SLICE = 4096
 
 
@@ -61,6 +62,8 @@ class SearchSpec:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in self.lengths):
+            raise ParamOutOfRange(f"lengths must be integers, got {tuple(self.lengths)}")
         lengths = tuple(int(x) for x in self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) < 2:
@@ -125,37 +128,68 @@ def _candidate_count(n: int, lengths) -> int:
     return count
 
 
+def _lex_permutations(ranks: np.ndarray, m: int) -> np.ndarray:
+    """Row b is the ranks[b]-th permutation of range(m) in lexicographic
+    order, the order of itertools.permutations.
+
+    The factorial digits of a rank are its Lehmer code: digit k picks the
+    digit-th smallest value not used left of k.  Read from the right, each
+    digit shifts up the values at or above it on its right.
+    """
+    out = np.empty((len(ranks), m), dtype=np.int8)
+    for k in range(m):
+        out[:, k], ranks = np.divmod(ranks, factorial(m - 1 - k))
+    for k in range(m - 2, -1, -1):
+        right = out[:, k + 1 :]
+        right += right >= out[:, k, None]
+    return out
+
+
+def _candidate_slices(n: int, lengths, fixed: int):
+    """The rows of _cycle_candidates, _SLICE rows at a time.
+
+    Row r is unranked from its mixed-radix digits, one per cycle length > 1
+    with the first length most significant.  A digit picks a subset of the
+    points still free, by lexicographic rank among the combinations, and the
+    cycle through it, whose head is the subset's first point and whose tail
+    is its rest in the lexicographic order of the permutations.  Only the
+    combination tables are built per level; the temporaries grow with
+    _SLICE, not with the number of rows.
+    """
+    levels = []
+    free = n - 1
+    for length in (x for x in lengths if x > 1):
+        subsets = list(itertools.combinations(range(free), length))
+        rest = [[x for x in range(free) if x not in c] for c in subsets]
+        levels.append((length, np.array(subsets, dtype=np.int8), np.array(rest, dtype=np.int8)))
+        free -= length
+    points = np.array([x for x in range(n) if x != fixed], dtype=np.int8)
+    total = _candidate_count(n, lengths)
+    for start in range(0, total, _SLICE):
+        ranks = np.arange(start, min(start + _SLICE, total))
+        out = np.tile(np.arange(n, dtype=np.int8), (len(ranks), 1))
+        left = np.broadcast_to(points, (len(ranks), len(points)))
+        weight = total
+        for length, subsets, rest in levels:
+            weight //= len(subsets) * factorial(length - 1)
+            digit, ranks = np.divmod(ranks, weight)
+            pick, tail = np.divmod(digit, factorial(length - 1))
+            cyc = np.take_along_axis(left, subsets[pick], axis=1)
+            cyc[:, 1:] = np.take_along_axis(
+                cyc[:, 1:], _lex_permutations(tail, length - 1), axis=1
+            )
+            np.put_along_axis(out, cyc, np.roll(cyc, -1, axis=1), axis=1)
+            left = np.take_along_axis(left, rest[pick], axis=1)
+        yield out
+
+
 def _cycle_candidates(n: int, lengths, fixed: int) -> np.ndarray:
     """All 0-based images with cycle type `lengths` whose unique fixed point
     is `fixed`, one per row, in deterministic order.
 
     int8 holds every label: _RAW_CANDIDATE_LIMIT refuses every order past 12.
     """
-    out = np.empty((_candidate_count(n, lengths), n), dtype=np.int8)
-    big = [x for x in lengths if x > 1]
-    img = list(range(n))
-    row = 0
-
-    def rec(level: int, remaining: tuple[int, ...]):
-        nonlocal row
-        if level == len(big):
-            out[row] = img
-            row += 1
-            return
-        length = big[level]
-        for subset in itertools.combinations(remaining, length):
-            left = tuple(x for x in remaining if x not in subset)
-            head = subset[0]
-            for tail in itertools.permutations(subset[1:]):
-                cyc = (head,) + tail
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    img[a] = b
-                rec(level + 1, left)
-                for a in cyc:
-                    img[a] = a
-
-    rec(0, tuple(x for x in range(n) if x != fixed))
-    return out
+    return np.concatenate(list(_candidate_slices(n, lengths, fixed)))
 
 
 def _closed(tables: np.ndarray, labels) -> np.ndarray:
@@ -166,19 +200,24 @@ def _closed(tables: np.ndarray, labels) -> np.ndarray:
     every u in labels; no other column is read as a translation.  Table b is
     kept when R_(v*u) = R_u R_v R_u^-1 for all u, v in labels with v*u in
     labels.  The relation is compared pointwise as (y*u)*(v*u) = (y*v)*u for
-    every y, which needs no inverse.  Tables drop out at the first failing u.
+    every y, which needs no inverse.  The pairs (u, v) are tested one at a
+    time, u-major in the order of `labels`, each on the tables that passed
+    the pairs before it: a candidate stack loses nearly all its tables in the
+    first pairs, after n comparisons per table rather than n per label.
     """
     labels = np.asarray(labels)
     inside = np.zeros(tables.shape[1], dtype=bool)
     inside[labels] = True
     keep = np.arange(len(tables))
-    for u in labels:
+    for u, v in itertools.product(labels, labels):
+        if len(keep) == 0:
+            break
         t = tables[keep]
-        b = np.arange(len(t))[:, None, None]
-        v_u = t[:, labels, u]  # (B, m): v*u
-        lhs = t[b, t[:, :, u, None], v_u[:, None, :]]  # (y*u)*(v*u)
-        rhs = t[b, t[:, :, labels], u]  # (y*v)*u
-        keep = keep[((lhs == rhs) | ~inside[v_u][:, None, :]).all(axis=(1, 2))]
+        b = np.arange(len(t))[:, None]
+        v_u = t[:, v, u]  # (B,): v*u
+        lhs = t[b, t[:, :, u], v_u[:, None]]  # (y*u)*(v*u)
+        rhs = t[b, t[:, :, v], u]  # (y*v)*u
+        keep = keep[(lhs == rhs).all(axis=1) | ~inside[v_u]]
     return keep
 
 
@@ -224,16 +263,15 @@ class _Searcher:
             ell = hi - lo
             s = self.r1_pow[ell]
             need = np.lcm(self.block_len, ell)
-            labels = [0, *range(lo, hi)]
-            raw = _cycle_candidates(self.n, self.lengths, hi - 1)
+            # R_1 last: commuting with R_1^l already implies its closure
+            labels = [*range(lo, hi), 0]
             keep = []
-            for start in range(0, len(raw), _SLICE):
-                cand = raw[start : start + _SLICE]
+            for cand in _candidate_slices(self.n, self.lengths, hi - 1):
                 cand = cand[(cand[:, s] == s[cand]).all(axis=1)]  # commutes with R_1^l
                 cand = cand[(need % self.block_len[cand] == 0).all(axis=1)]
                 tables = self.block_tables(level, cand)
                 keep.append(tables[_closed(tables, labels)][:, :, lo:hi])
-            self.raw_counts.append(len(raw))
+            self.raw_counts.append(_candidate_count(self.n, self.lengths))
             self.filtered.append(np.concatenate(keep))
             self.unary_counts.append(len(self.filtered[-1]))
 

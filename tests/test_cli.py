@@ -356,6 +356,24 @@ class TestSearch:
         assert main(["search", "--profile", "1,2,6", "--max-order", "8"]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "admissible"])
+    @pytest.mark.parametrize("text", ["1,2_0", "1,\u0662", "1,+2", "1,2 2", "1,,2"])
+    def test_profile_tokens_are_ascii_decimal(self, capsys, command, text):
+        # int() alone takes '2_0', '+2' and the Arabic-Indic digit two
+        assert main([command, "--profile", text]) == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+
+    def test_pinned_1_2_8_manifest(self, capsys):
+        # the sha256 of the report the recursive candidate enumeration gave
+        assert main(["search", "--profile", "1,2,8", "--dedup", "--json"]) == 0
+        out = capsys.readouterr().out
+        manifest = json.loads(out)
+        assert manifest["count"] == 0
+        assert manifest["stats"]["per_generator_unary"] == [1, 2]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cb6a6c387b362a121514c1338a9da8c450015b448d80ef522bb0753584faebc8"
+        )
+
 
 class TestAdmissible:
     def test_ruled_out_formula(self, capsys):

@@ -5,6 +5,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from quandlekit import (
@@ -41,6 +42,19 @@ class TestSearchSpec:
             SearchSpec((1, 6, 2))
         with pytest.raises(RepeatedLengthsUnsupported):
             SearchSpec((1, 2, 2))
+
+    @pytest.mark.parametrize(
+        "lengths", [(1.9, 2), (1, 2.7), (1, 2.0), (True, 2), (1, False), (1, "2")]
+    )
+    def test_rejects_non_integer_lengths(self, lengths):
+        # int() would have turned (1.9, 2) and (1, 2.7) into the profile (1, 2)
+        with pytest.raises(ParamOutOfRange, match="integers"):
+            SearchSpec(lengths)
+
+    def test_numpy_integer_lengths_become_ints(self):
+        spec = SearchSpec((np.int64(1), np.int8(2)))
+        assert spec.lengths == (1, 2)
+        assert all(type(x) is int for x in spec.lengths)
 
 
 class TestCandidateCount:
@@ -86,6 +100,18 @@ class TestKnownProfiles:
                 if are_isomorphic(q, target) is not None
             ]
             assert len(hits) == 1, h
+
+    def test_1_10_finds_the_four_affine_classes(self):
+        # (1,10) is the profile of shq_family(11, 2); the primitive roots
+        # mod 11 are 2, 6, 7 and 8
+        res = search_by_profile(SearchSpec((1, 10)))
+        assert len(res.quandles) == 4
+        assert res.iso_classes == ((0,), (1,), (2,), (3,))
+        matches = [
+            [h for h in (2, 6, 7, 8) if are_isomorphic(q, affine_quandle(11, h)) is not None]
+            for q in res.quandles
+        ]
+        assert sorted(matches) == [[2], [6], [7], [8]]
 
     def test_1_5_is_empty(self):
         res = search_by_profile(SearchSpec((1, 5)))

@@ -10,7 +10,9 @@ a column swapped, which make the partition and conjugation checks fail.
 
 The search's batched conjugation-closure check `_closed` is compared the same
 way with `reference_closed`, the loop over permutation tuples the search ran
-before, on stacks of its own candidate tables.
+before, on stacks of its own candidate tables.  Its candidate generators,
+unranked a slice of rows at a time, are compared with
+`reference_cycle_candidates`, the recursion that wrote them one row at a time.
 
 `reference_inventory` is the subquandle inventory as it was built before the
 enumeration went orbit by orbit: every closed set from the breadth-first
@@ -29,6 +31,7 @@ per-cell writer `reference_format_qdl` are compared with `parse_qdl` and
 without broken, hostile or oversized tokens.
 """
 
+import itertools
 import random
 import sys
 from collections import deque
@@ -38,7 +41,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
@@ -86,8 +89,15 @@ from quandlekit import (
 from quandlekit import construct, core
 from quandlekit.core import _close_mask
 from quandlekit.limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
-from quandlekit.shq import CheckOutcome
-from quandlekit.search import _closed, _cycle_candidates, _Searcher
+from quandlekit.shq import CheckOutcome, _block_bounds
+from quandlekit import search
+from quandlekit.search import (
+    _candidate_count,
+    _candidate_slices,
+    _closed,
+    _cycle_candidates,
+    _Searcher,
+)
 from conftest import SHQS, SMALL, dihedral_quandle, relabel, relabelled, trivial_quandle
 from test_core import relabelled_rows
 
@@ -234,6 +244,36 @@ def reference_closed(table, labels) -> bool:
                 if tt[x] != tu[tv[tu_inv[x]]]:
                     return False
     return True
+
+
+def reference_cycle_candidates(n: int, lengths, fixed: int) -> np.ndarray:
+    """All 0-based images with cycle type `lengths` whose unique fixed point
+    is `fixed`, one per row, written by a recursion over the cycles."""
+    out = np.empty((_candidate_count(n, lengths), n), dtype=np.int8)
+    big = [x for x in lengths if x > 1]
+    img = list(range(n))
+    row = 0
+
+    def rec(level: int, remaining: tuple[int, ...]):
+        nonlocal row
+        if level == len(big):
+            out[row] = img
+            row += 1
+            return
+        length = big[level]
+        for subset in itertools.combinations(remaining, length):
+            left = tuple(x for x in remaining if x not in subset)
+            head = subset[0]
+            for tail in itertools.permutations(subset[1:]):
+                cyc = (head,) + tail
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    img[a] = b
+                rec(level + 1, left)
+                for a in cyc:
+                    img[a] = a
+
+    rec(0, tuple(x for x in range(n) if x != fixed))
+    return out
 
 
 def reference_pair_closures(tbl: np.ndarray):
@@ -585,6 +625,61 @@ class TestSearchClosure:
         stack, labels = case
         want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
         assert _closed(stack, labels).tolist() == want
+
+
+# the 22 distinct-length profiles with at most 250,000 candidates per block,
+# (1,2,8), (1,3,7), (1,4,6) and (1,2,3,5) the largest (all of them have order
+# <= 12), and (1,10), the profile of shq_family(11, 2)
+CANDIDATE_PROFILES = sorted(
+    {
+        (1, *rest)
+        for size in range(1, 5)
+        for rest in itertools.combinations(range(2, 12), size)
+        if sum(rest) <= 11 and _candidate_count(1 + sum(rest), (1, *rest)) <= 250_000
+    }
+    | {(1, 10)},
+    key=lambda lengths: (sum(lengths), lengths),
+)
+
+
+@lru_cache(maxsize=8)
+def cached_reference_candidates(lengths, fixed: int) -> np.ndarray:
+    return reference_cycle_candidates(sum(lengths), lengths, fixed)
+
+
+@st.composite
+def candidate_cases(draw):
+    """(lengths, fixed, slice size): a profile, the fixed point of one of its
+    block generators, and a _SLICE value."""
+    lengths = draw(st.sampled_from(CANDIDATE_PROFILES))
+    fixed = draw(st.sampled_from([b - 1 for b in _block_bounds(lengths)[1:]]))
+    return lengths, fixed, draw(st.sampled_from([1, 7, 4096]))
+
+
+class TestCycleCandidates:
+    @settings(max_examples=20, deadline=None)
+    @given(candidate_cases())
+    @example(((1, 2, 8), 2, 4096))
+    @example(((1, 2, 8), 10, 4096))
+    @example(((1, 10), 10, 4096))
+    @example(((1, 10), 10, 1))
+    def test_slices_match_reference(self, case):
+        """Same rows in the same order as the recursion.  With _SLICE at 1 or
+        7 the slice edges fall inside every level; at those sizes only the
+        first 500 slices are compared."""
+        lengths, fixed, size = case
+        n = sum(lengths)
+        want = cached_reference_candidates(lengths, fixed)
+        with patch.object(search, "_SLICE", size):
+            if len(want) <= 500 * size:
+                got = _cycle_candidates(n, lengths, fixed)
+            else:
+                got = np.concatenate(
+                    list(itertools.islice(_candidate_slices(n, lengths, fixed), 500))
+                )
+                want = want[: len(got)]
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
 
 
 class TestIsomorphismMaps:
