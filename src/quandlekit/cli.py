@@ -164,9 +164,7 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     spec = SearchSpec(_parse_profile(args.profile))
-    result = search_by_profile(
-        spec, max_order=args.max_order, workers=args.workers, dedup=args.dedup
-    )
+    result = search_by_profile(spec, max_order=args.max_order, dedup=args.dedup)
     if args.out:
         manifest = save_search_result(result, args.out)
     else:
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--profile", required=True, help='e.g. "1,2,6"')
     p_se.add_argument("--max-order", type=int, default=None)
     p_se.add_argument("--dedup", action="store_true", help="group by isomorphism")
-    p_se.add_argument("--workers", type=int, default=1)
     p_se.add_argument("--out", help="write .qdl files and manifest.json here")
     p_se.add_argument("--json", action="store_true")
     p_se.set_defaults(func=cmd_search)

@@ -15,6 +15,7 @@ parse(format(q)) round-trips bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +31,20 @@ from .errors import (
 )
 from .limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
 
+def _integers(values, what: str = "lengths") -> tuple[int, ...]:
+    """values as a tuple of ints; ParamOutOfRange unless each one is an integer.
+
+    Any Integral passes, numpy integers included, but not bool; floats and
+    strings are refused rather than truncated or parsed by int().
+    """
+    values = tuple(values)
+    if all(type(x) is int for x in values):  # the common case, without the ABC check
+        return values
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in values):
+        raise ParamOutOfRange(f"{what} must be integers, got {values}")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True, order=True)
 class CycleStructure:
     """Multiset of disjoint-cycle lengths of a permutation, sorted ascending."""
@@ -37,6 +52,7 @@ class CycleStructure:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", _integers(self.lengths, "cycle lengths"))
         if not self.lengths or any(x < 1 for x in self.lengths):
             raise ParamOutOfRange(f"bad cycle lengths {self.lengths}")
         if list(self.lengths) != sorted(self.lengths):

@@ -8,7 +8,9 @@ generators (permutations with the target cycle structure fixing their own
 index), derives the remaining translations by conjugation, and keeps the
 tables that satisfy the conjugation closure, validate as quandles, are
 connected, and match the profile.  Filters run cheapest first; the survivors
-at each stage are reported for tuning.
+at each stage are reported for tuning.  The search runs in one process:
+the per-block enumeration and unary filter (_Searcher.prepare) take nearly
+all of its time, and the tree walk after it takes milliseconds.
 
 Permutations are 0-based integer arrays, the column form of QuandleTable.array:
 a block's candidates come as (_SLICE, n) arrays of rows unranked from their row
@@ -26,17 +28,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .core import QuandleTable, _power, format_qdl, validate_quandle
+from .core import QuandleTable, _integers, _power, format_qdl, validate_quandle
 from .errors import (
     InvalidQuandleError,
     ParamOutOfRange,
@@ -62,9 +61,7 @@ class SearchSpec:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in self.lengths):
-            raise ParamOutOfRange(f"lengths must be integers, got {tuple(self.lengths)}")
-        lengths = tuple(int(x) for x in self.lengths)
+        lengths = _integers(self.lengths)
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) < 2:
             raise ParamOutOfRange(f"need at least two cycle lengths, got {lengths}")
@@ -275,7 +272,7 @@ class _Searcher:
             self.filtered.append(np.concatenate(keep))
             self.unary_counts.append(len(self.filtered[-1]))
 
-    def run(self, chunk: tuple[int, int] | None = None):
+    def run(self):
         """Depth-first over generator choices; returns (tables, counters)."""
         counters = {"nodes": 0, "conj": 0, "dist": 0, "conn": 0}
         found: list[np.ndarray] = []
@@ -283,8 +280,6 @@ class _Searcher:
         def descend(level: int, table: np.ndarray):
             lo, hi = self.ns[level + 1], self.ns[level + 2]
             blocks = self.filtered[level]
-            if level == 0 and chunk is not None:
-                blocks = blocks[chunk[0] : chunk[1]]
             counters["nodes"] += len(blocks)
             stack = np.repeat(table[None], len(blocks), axis=0)
             stack[:, :, lo:hi] = blocks
@@ -316,61 +311,24 @@ class _Searcher:
         found.append(q.array)
 
 
-def _worker(args):
-    """Search the top-level candidates start:stop of a profile in a pool process."""
-    lengths, start, stop = args
-    searcher = _Searcher(lengths)
-    searcher.prepare()
-    found, counters = searcher.run((start, stop))
-    return found, counters
-
-
-def _pool_size(workers: int, top: int) -> int:
-    """Processes for a search whose top level has `top` candidates.
-
-    1 means the search runs in this process: it does unless every one of the
-    requested workers gets at least two top-level candidates.  The pool never
-    exceeds the CPU count.
-    """
-    if top < 2 * workers:
-        return 1
-    return min(workers, os.cpu_count() or 1)
-
-
 def search_by_profile(
     spec: SearchSpec,
     max_order: int | None = None,
-    workers: int = 1,
     dedup: bool = True,
 ) -> SearchResult:
     """All connected quandles with the given profile, up to the search cap.
 
     Output is deterministic: tables are sorted by their flattened rows and
-    isomorphism classes listed by first representative, regardless of
-    worker count.  dedup=False skips the isomorphism grouping.
+    isomorphism classes listed by first representative.  dedup=False skips
+    the isomorphism grouping.
     """
-    if workers < 1:
-        raise ParamOutOfRange(f"workers must be >= 1, got {workers}")
     cap = resolve_cap(max_order, DEFAULT_SEARCH_CAP)
     if spec.order > cap:
         raise SizeLimitExceeded(f"order {spec.order} exceeds search cap {cap}")
     start_time = time.perf_counter()
     searcher = _Searcher(spec.lengths)
     searcher.prepare()
-    totals = {"nodes": 0, "conj": 0, "dist": 0, "conn": 0}
-    found: list[np.ndarray] = []
-    top = len(searcher.filtered[0]) if searcher.filtered else 0
-    size = _pool_size(workers, top)
-    if size == 1:
-        found, totals = searcher.run()
-    else:
-        bounds = [(top * w) // size for w in range(size + 1)]
-        args = [(spec.lengths, bounds[w], bounds[w + 1]) for w in range(size)]
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            for part, counters in pool.map(_worker, args):
-                found.extend(part)
-                for key in totals:
-                    totals[key] += counters[key]
+    found, totals = searcher.run()
     found.sort(key=lambda table: table.tolist())
     # every hit was validated once in _emit
     quandles = tuple(QuandleTable._from_array(table) for table in found)

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import CycleStructure, Permutation, QuandleTable, _cycles, _power
+from .core import CycleStructure, Permutation, QuandleTable, _cycles, _integers, _power
 from .errors import (
     NotAPartition,
     NotCanonicalForm,
@@ -58,7 +58,8 @@ def shq_lengths(params_or_ell, c: int | None = None) -> tuple[int, ...]:
         ell, c = params_or_ell.ell, params_or_ell.c
     else:
         ell = params_or_ell
-    if ell < 2 or c is None or c < 2:
+    ell, c = _integers((ell, c), "ell and c")
+    if ell < 2 or c < 2:
         raise ParamOutOfRange(f"need ell >= 2 and c >= 2, got ({params_or_ell}, {c})")
     return (1,) + tuple(ell * (ell + 1) ** (i - 2) for i in range(2, c + 1))
 
@@ -126,9 +127,10 @@ def check_profile_admissible(lengths) -> Admissibility:
     The input must be strictly increasing from 1 with a divisor chain;
     anything else raises NotSHQShape.  A profile is ruled out when l_2 + 1
     is not a prime power, or when some later length breaks the forced
-    formula l_i = l_2 * (l_2 + 1)^(i-2).
+    formula l_i = l_2 * (l_2 + 1)^(i-2).  Lengths that are not integers
+    raise ParamOutOfRange.
     """
-    lengths = tuple(int(x) for x in lengths)
+    lengths = _integers(lengths)
     reason = _shq_shape(lengths)
     if reason is not None:
         raise NotSHQShape(f"{lengths}: {reason}")

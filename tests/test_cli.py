@@ -326,6 +326,13 @@ class TestSearch:
         assert manifest["iso_classes"] == [[0, 1], [2, 3], [4, 5]]
         assert manifest["stats"]["nodes_expanded"] == 27
 
+    def test_no_workers_option(self, capsys):
+        # the search runs in one process; --workers is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--profile", "1,2", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_json_deterministic(self, capsys):
         main(["search", "--profile", "1,4", "--dedup", "--json"])
         first = capsys.readouterr().out

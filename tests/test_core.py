@@ -15,6 +15,7 @@ from quandlekit import (
     FixedPointMissing,
     IndexOutOfRange,
     InvalidQuandleError,
+    ParamOutOfRange,
     ParseError,
     Permutation,
     QuandleTable,
@@ -52,6 +53,16 @@ class TestCycleStructure:
 
     def test_total(self):
         assert CycleStructure((1, 2, 6)).total == 9
+
+    @pytest.mark.parametrize("lengths", [(1, 2.5), (True, 2), (1, 2.0), (1, "2")])
+    def test_rejects_non_integer_lengths(self, lengths):
+        with pytest.raises(ParamOutOfRange, match="integers"):
+            CycleStructure(lengths)
+
+    def test_numpy_integer_lengths_become_ints(self):
+        s = CycleStructure((np.int64(1), np.int8(2)))
+        assert s.lengths == (1, 2)
+        assert all(type(x) is int for x in s.lengths)
 
 
 class TestPermutation:

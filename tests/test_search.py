@@ -1,9 +1,6 @@
 """Canonical-form search, its statistics, and the naive reference search."""
 
 import json
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +22,8 @@ from quandlekit import (
     validate_quandle,
 )
 from quandlekit import search
-from quandlekit.search import _candidate_count, _cycle_candidates, _Searcher, _worker
+from quandlekit.limits import DEFAULT_SEARCH_CAP
+from quandlekit.search import _candidate_count, _cycle_candidates, _Searcher
 from conftest import dihedral_quandle
 
 
@@ -72,6 +70,40 @@ class TestCandidateCount:
     def test_infeasible_profile_refused_upfront(self):
         with pytest.raises(SizeLimitExceeded, match="candidate"):
             search_by_profile(SearchSpec((1, 2, 6, 18)))
+
+    def test_accepted_profiles_are_pinned(self, monkeypatch):
+        # Of the 1,277 distinct-length profiles within the default search cap,
+        # the per-block candidate limit lets exactly these 24 through; every
+        # other one is refused when the searcher is built, before any
+        # candidate row exists.
+        def tails(budget, lo):
+            for x in range(lo, budget + 1):
+                yield (x,)
+                for rest in tails(budget - x, x + 1):
+                    yield (x, *rest)
+
+        def no_candidates(*args):
+            raise AssertionError(f"candidates built for {args}")
+
+        monkeypatch.setattr(search, "_candidate_slices", no_candidates)
+        profiles = sorted(
+            ((1, *rest) for rest in tails(DEFAULT_SEARCH_CAP - 1, 2)),
+            key=lambda lengths: (sum(lengths), lengths),
+        )
+        accepted = []
+        for lengths in profiles:
+            try:
+                _Searcher(lengths)
+            except SizeLimitExceeded:
+                continue
+            accepted.append(lengths)
+        assert len(profiles) == 1277
+        assert accepted == [
+            (1, 2), (1, 3), (1, 4), (1, 2, 3), (1, 5), (1, 2, 4), (1, 6), (1, 2, 5),
+            (1, 3, 4), (1, 7), (1, 2, 6), (1, 3, 5), (1, 8), (1, 2, 3, 4), (1, 2, 7),
+            (1, 3, 6), (1, 4, 5), (1, 9), (1, 2, 3, 5), (1, 2, 8), (1, 3, 7), (1, 4, 6),
+            (1, 10), (1, 2, 4, 5),
+        ]
 
 
 class TestKnownProfiles:
@@ -213,56 +245,6 @@ class TestDeterminismAndWorkers:
         assert a.quandles == b.quandles
         assert a.iso_classes == b.iso_classes
         assert a.stats.as_dict() == b.stats.as_dict()
-
-    def test_workers_do_not_change_output(self):
-        a = search_by_profile(SearchSpec((1, 2, 6)), workers=1)
-        b = search_by_profile(SearchSpec((1, 2, 6)), workers=3)
-        assert a.quandles == b.quandles
-        assert a.iso_classes == b.iso_classes
-        assert a.stats.as_dict() == b.stats.as_dict()
-
-    def test_pool_runs_and_matches(self, monkeypatch):
-        # (1,3,6) has 4 top-level candidates: two workers get two each
-        started = []
-
-        class Pool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        a = search_by_profile(SearchSpec((1, 3, 6)), workers=1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
-        b = search_by_profile(SearchSpec((1, 3, 6)), workers=2)
-        assert started == [2]
-        assert a.quandles == b.quandles
-        assert a.iso_classes == b.iso_classes
-        assert a.stats.as_dict() == b.stats.as_dict()
-
-    def test_worker_result_pickles_and_merges(self):
-        # the whole top level of (1,2,6) in one worker call, sent through pickle
-        found, counters = pickle.loads(pickle.dumps(_worker(((1, 2, 6), 0, 3))))
-        searcher = _Searcher((1, 2, 6))
-        searcher.prepare()
-        here, here_counters = searcher.run()
-        assert counters == here_counters
-        assert [t.tolist() for t in found] == [t.tolist() for t in here]
-        res = search_by_profile(SearchSpec((1, 2, 6)))
-        assert sorted(t.tolist() for t in found) == [q.array.tolist() for q in res.quandles]
-
-    def test_pool_size_is_bounded(self, monkeypatch):
-        from quandlekit.search import _pool_size
-
-        huge = 10**9
-        assert _pool_size(1, 100) == 1
-        assert _pool_size(huge, 1000) == 1  # under two candidates each: in-process
-        assert _pool_size(huge, 2 * huge) == min(huge, os.cpu_count() or 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _pool_size(huge, 2 * huge) == 1
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ParamOutOfRange):
-            search_by_profile(SearchSpec((1, 2)), workers=0)
 
     def test_dedup_off_skips_grouping(self):
         res = search_by_profile(SearchSpec((1, 2, 6)), dedup=False)

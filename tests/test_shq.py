@@ -81,6 +81,19 @@ class TestLengthFormula:
         assert predicted_profile(2, 3).lengths == (1, 2, 6)
         assert str(predicted_profile(4, 3)) == "(1, 4, 20)"
 
+    @pytest.mark.parametrize("ell, c", [(2.5, 3), (2, 3.0), (True, 3), ("2", 3)])
+    def test_rejects_non_integer_arguments(self, ell, c):
+        # predicted_profile(2.5, 3) was (1, 2.5, 8.75)
+        with pytest.raises(ParamOutOfRange, match="integers"):
+            shq_lengths(ell, c)
+        with pytest.raises(ParamOutOfRange, match="integers"):
+            predicted_profile(ell, c)
+
+    def test_numpy_integer_arguments(self):
+        lengths = shq_lengths(np.int64(2), np.int8(3))
+        assert lengths == (1, 2, 6)
+        assert all(type(x) is int for x in lengths)
+
 
 def direct_sum_with_point(q: QuandleTable) -> QuandleTable:
     """Append one element acting trivially in both directions."""
@@ -140,6 +153,18 @@ class TestAdmissibility:
         for lengths in [(2, 4), (1,), (1, 3, 5), (1, 2, 2), (1, 2, 6, 6)]:
             with pytest.raises(NotSHQShape):
                 check_profile_admissible(lengths)
+
+    @pytest.mark.parametrize("lengths", [(1, 2.9, 6), (True, 2.5, 6.7), ("1", "2", "6")])
+    def test_rejects_non_integer_lengths(self, lengths):
+        # int() read each of these as (1, 2, 6), which is not ruled out
+        with pytest.raises(ParamOutOfRange, match="integers"):
+            check_profile_admissible(lengths)
+
+    def test_numpy_integer_lengths(self):
+        v = check_profile_admissible(np.array([1, 2, 6]))
+        assert not v.ruled_out
+        assert v.lengths == (1, 2, 6)
+        assert all(type(x) is int for x in v.lengths)
 
     def test_str(self):
         assert "not ruled out" in str(check_profile_admissible((1, 6)))

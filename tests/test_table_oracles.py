@@ -618,9 +618,24 @@ def closure_stacks(draw):
     return stack, labels
 
 
+def outside_pairs_case():
+    """(stack, labels) for the canonical table of shq_family(3, 3), profile
+    (1,2,6), on the labels {0, 3..8} with its block-2 columns 1 and 2 zeroed.
+
+    The closure holds, and 12 pairs (u, v) have v*u in the zeroed block, so
+    only the exemption for v*u outside the labels keeps the table.  It is built
+    without _closed: closure_stacks takes its tables from the search's own
+    survivors, and yields none like it.
+    """
+    table = canonical_relabel(shq_family(3, 3))[0].array.copy()
+    table[:, 1:3] = 0
+    return table[None], [0, *range(3, 9)]
+
+
 class TestSearchClosure:
     @settings(max_examples=150, deadline=None)
     @given(closure_stacks())
+    @example(outside_pairs_case())
     def test_batched_matches_reference(self, case):
         stack, labels = case
         want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
