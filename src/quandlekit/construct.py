@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import QuandleTable
+from .core import QuandleTable, _integers
 from .errors import (
     DegenerateMultiplier,
     MultiplierNotInvertible,
@@ -95,6 +95,7 @@ def affine_quandle(m: int, h: int, max_order: int | None = None) -> QuandleTable
 
     h must be a unit mod m; h = 1 gives the trivial quandle.
     """
+    m, h = _integers((m, h), "m and h")
     if m < 1:
         raise ParamOutOfRange(f"modulus must be positive, got {m}")
     cap = resolve_cap(max_order, DEFAULT_TABLE_CAP, env=False)
@@ -110,6 +111,7 @@ def affine_quandle(m: int, h: int, max_order: int | None = None) -> QuandleTable
 def shq_family(p: int, c: int, max_order: int | None = None) -> QuandleTable:
     """Member (p, c) of the affine family: order p^(c-1), profile
     (1, (p-1)p^0, ..., (p-1)p^(c-2))."""
+    p, c = _integers((p, c), "p and c")
     if p < 3:
         raise NotOddPrime(f"{p} is not an odd prime")
     if c < 2:
@@ -262,6 +264,7 @@ def galois_affine_quandle(
     coefficient tuple; labels follow the encoding order (encoding + 1).
     With a multiplicative generator the result has profile (1, p^a - 1).
     """
+    p, a = _integers((p, a), "p and a")
     _capped_order(p, a, max_order)
     field = GaloisField(p, a)
     h = field.element(multiplier) if isinstance(multiplier, int) else tuple(multiplier)
@@ -293,6 +296,7 @@ class EmbeddingReport:
 def family_embedding(p: int, c: int, max_order: int | None = None) -> EmbeddingReport:
     """Check that the order-p^(c-1) member sits inside the order-p^c member
     as the image of z -> p*z."""
+    p, c = _integers((p, c), "p and c")
     small = shq_family(p, c, max_order)
     big = shq_family(p, c + 1, max_order)
     img = p * np.arange(small.n)  # 0-based, increasing

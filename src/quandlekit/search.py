@@ -398,6 +398,7 @@ def naive_connected_quandles(n: int) -> tuple[QuandleTable, ...]:
     as some fully determined distributivity instance fails.  Shares no code
     with the canonical-form search.
     """
+    (n,) = _integers((n,), "n")
     if n < 1:
         raise ParamOutOfRange(f"order must be positive, got {n}")
     choices = [

@@ -43,6 +43,9 @@ class ShqParams:
     a: int
 
     def __post_init__(self):
+        values = _integers((self.ell, self.c, self.p, self.a), "ell, c, p and a")
+        for name, value in zip(("ell", "c", "p", "a"), values):
+            object.__setattr__(self, name, value)
         if self.ell < 2 or self.c < 2:
             raise ParamOutOfRange(f"need ell >= 2 and c >= 2, got {self}")
         if self.p ** self.a != self.ell + 1 or prime_power(self.ell + 1) != (self.p, self.a):

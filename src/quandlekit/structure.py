@@ -106,9 +106,11 @@ def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
     sets to closed sets, and the columns of a generating set generate it.
     An orbit is seeded by one set and filled by the gathers tbl[S, g] over
     those columns, with no closure.  The singletons seed the first orbits,
-    one per orbit of labels.  Only the first member of each orbit is grown,
-    by one outside element and a closure: growing any other member R(S)
-    by R(e) gives R applied to a set found from S, so no orbit is missed.
+    one per orbit of labels.  Only the first member S of each orbit is
+    grown, by one outside element e and a closure: growing R(S) by R(e)
+    gives R applied to a set found from S, so no orbit is missed.  As each
+    g in G_S = <R_s : s in S> maps S onto itself, e need only be the
+    smallest label of each G_S-orbit outside S.
     """
     n = tbl.shape[0]
     cols = tbl[:, list(_generators(tbl))]
@@ -132,9 +134,17 @@ def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
     for singleton in np.eye(n, dtype=bool):
         if singleton.tobytes() not in known:
             fill(singleton)
+    labels = np.arange(n)
     for orbit in out:  # grows while it is walked
         first = orbit[0]
-        for e in np.flatnonzero(~first):
+        # low[x]: the smallest label of x's G_S-orbit, by min-propagation
+        moves, low = tbl[:, first], labels
+        while True:
+            nxt = np.minimum(low, low[moves].min(axis=1))
+            if not (nxt < low).any():
+                break
+            low = nxt
+        for e in np.flatnonzero((low == labels) & ~first):
             grown = first.copy()
             grown[e] = True
             _close_mask(tbl, grown)

@@ -1,5 +1,6 @@
 """Affine constructions over Z_m and GF(p^a), and the family embeddings."""
 
+import numpy as np
 import pytest
 
 from quandlekit import construct
@@ -14,6 +15,7 @@ from quandlekit import (
     classify_shq,
     family_embedding,
     galois_affine_quandle,
+    naive_connected_quandles,
     primitive_root,
     profile,
     shq_family,
@@ -275,6 +277,40 @@ class TestCapBeforeSetUp:
             shq_family(2, 40)
         with pytest.raises(ParamOutOfRange, match="need c >= 2"):
             shq_family(3, 1)
+
+
+class TestIntegerArguments:
+    """Orders, exponents and moduli obey the integer rule of core._integers:
+    a float or bool is ParamOutOfRange, not a TypeError deep in the build."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: affine_quandle(5.0, 2),
+            lambda: affine_quandle(5, 2.0),
+            lambda: shq_family(3.0, 3),
+            lambda: shq_family(3, 3.0),
+            lambda: shq_family(True, 3),
+            lambda: galois_affine_quandle(3.0, 2, 3),
+            lambda: galois_affine_quandle(3, 2.0, 3),
+            lambda: family_embedding(3, 2.0),
+            lambda: naive_connected_quandles(3.0),
+        ],
+    )
+    def test_refused(self, build):
+        with pytest.raises(ParamOutOfRange, match="must be integers"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        assert affine_quandle(np.int16(5), np.int64(2)) == affine_quandle(5, 2)
+        assert shq_family(np.int64(3), np.int8(3)) == shq_family(3, 3)
+        assert galois_affine_quandle(np.int64(2), np.uint8(2), 2) == (
+            galois_affine_quandle(2, 2, 2)
+        )
+        assert naive_connected_quandles(np.int64(3)) == naive_connected_quandles(3)
+        report = family_embedding(np.int32(3), np.int64(2))
+        assert report == family_embedding(3, 2)
+        assert type(report.p) is int and type(report.c) is int
 
 
 class TestFamilyEmbedding:

@@ -47,6 +47,18 @@ class TestShqParams:
         with pytest.raises(ParamOutOfRange):
             ShqParams(5, 2, 6, 1)  # 6 is not prime
 
+    @pytest.mark.parametrize(
+        "args", [(2.0, 3, 3, 1), (2, 3.0, 3, 1), (2, 3, 3.0, 1), (True, 3, 3, 1), ("2", 3, 3, 1)]
+    )
+    def test_rejects_non_integer_fields(self, args):
+        with pytest.raises(ParamOutOfRange, match="must be integers"):
+            ShqParams(*args)
+
+    def test_numpy_integer_fields(self):
+        p = ShqParams(np.int64(2), np.int32(3), np.int8(3), np.uint8(1))
+        assert p == ShqParams(2, 3, 3, 1)
+        assert all(type(v) is int for v in p.as_dict().values())
+
 
 class TestLengthFormula:
     def test_examples(self):

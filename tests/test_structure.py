@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    GaloisField,
     IndexOutOfRange,
     InvalidQuandleError,
     ParamOutOfRange,
@@ -42,6 +43,14 @@ from conftest import (
     trivial_quandle,
 )
 from test_table_oracles import reference_inventory
+
+
+def subfield_quandle(p: int, a: int, s: int) -> QuandleTable:
+    """Galois affine quandle over GF(p^a) whose multiplier generates the
+    subfield GF(p^s); its closed sets are the affine GF(p^s)-subspaces."""
+    field = GaloisField(p, a)
+    h = field.pow(field.multiplicative_generator(), (p**a - 1) // (p**s - 1))
+    return galois_affine_quandle(p, a, h)
 
 
 class TestOrbits:
@@ -272,6 +281,17 @@ class TestEnumerationBackends:
         for q in (trivial_quandle(5), dihedral_quandle(6), dihedral_quandle(8)):
             self.agree(q)
 
+    @pytest.mark.parametrize(
+        "p, a, s", [(3, 3, 1), (2, 6, 2)], ids=["gf27-over-gf3", "gf64-over-gf4"]
+    )
+    def test_largest_stabilisers_match_reference(self, p, a, s):
+        # a multiplier in a proper subfield gives each closed set a large
+        # group <R_s : s in S>, so most growth candidates are pruned
+        q = subfield_quandle(p, a, s)
+        order = list(range(1, q.n + 1))
+        random.Random(p * a).shuffle(order)
+        self.agree(relabel(q, Permutation(order)))
+
 
 class TestDerivedTableOracles:
     @settings(max_examples=40, deadline=None)
@@ -406,12 +426,40 @@ class TestClosedOrbits:
             (lambda: galois_affine_quandle(3, 4, 2), 2452, 212),
             (lambda: dihedral_quandle(16), 31, 9),
             (lambda: dihedral_quandle(24), 60, 14),
+            (lambda: shq_family(7, 4), 400, 4),
+            (lambda: subfield_quandle(2, 6, 2), 485, 44),
         ],
-        ids=["family(3,4)", "family(5,3)", "galois(3,4,2)", "dihedral16", "dihedral24"],
+        ids=[
+            "family(3,4)", "family(5,3)", "galois(3,4,2)", "dihedral16", "dihedral24",
+            "family(7,4)", "gf64-over-gf4",
+        ],
     )
     def test_pinned_counts(self, make, sets, orbit_count):
         found = structure._closed_orbits(make().array)
         assert (sum(map(len, found)), len(found)) == (sets, orbit_count)
+
+    @pytest.mark.parametrize(
+        "make, closures",
+        [
+            (lambda: shq_family(7, 4), 6),
+            (lambda: shq_family(3, 4), 6),
+            (lambda: galois_affine_quandle(3, 4, 2), 1120),
+        ],
+        ids=["family(7,4)", "family(3,4)", "galois(3,4,2)"],
+    )
+    def test_growth_closures(self, make, closures, monkeypatch):
+        # each orbit's first member S is grown once per orbit of
+        # <R_s : s in S> outside S
+        calls = []
+        kernel = structure._close_mask
+
+        def counted(tbl, mask):
+            calls.append(1)
+            return kernel(tbl, mask)
+
+        monkeypatch.setattr(structure, "_close_mask", counted)
+        structure._closed_orbits(make().array)
+        assert len(calls) == closures
 
 
 class TestLargeOrderEnumeration:
