@@ -10,6 +10,7 @@ z -> p*z.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -260,15 +261,18 @@ def galois_affine_quandle(
 ) -> QuandleTable:
     """The table x * y = h*x + (1-h)*y over GF(p^a).
 
-    multiplier is a field element, given as an integer encoding or a
-    coefficient tuple; labels follow the encoding order (encoding + 1).
+    multiplier is a field element, an integer encoding or a coefficient
+    tuple (core._integers); labels follow the encoding order (encoding + 1).
     With a multiplicative generator the result has profile (1, p^a - 1).
     """
     p, a = _integers((p, a), "p and a")
     _capped_order(p, a, max_order)
     field = GaloisField(p, a)
-    h = field.element(multiplier) if isinstance(multiplier, int) else tuple(multiplier)
-    if len(h) != a or not all(isinstance(v, int) for v in h):
+    if isinstance(multiplier, Iterable):
+        h = _integers(multiplier, "multiplier coefficients")
+    else:
+        h = field.element(*_integers((multiplier,), "multiplier"))
+    if len(h) != a:
         raise ParamOutOfRange(f"multiplier needs {a} integer coefficients, got {h}")
     h = tuple(v % p for v in h)
     if h == field.zero or h == field.one:

@@ -46,7 +46,10 @@ class ConjugationViolation(QuandleKitError):
 
 
 class ProfileInconsistency(QuandleKitError):
-    """A connected table whose translations disagree on cycle structure."""
+    """A connected table whose translations disagree on cycle structure.
+
+    Kept for callers that catch it; profile no longer raises it, as it walks
+    one translation per orbit (the translations of an orbit are conjugate)."""
 
 
 class SizeLimitExceeded(QuandleKitError):

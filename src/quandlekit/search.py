@@ -6,8 +6,9 @@ other translation is a power-of-R_1 conjugate of one of the c-1 block
 generators R_(n_i).  The search therefore fixes R_1, enumerates candidate
 generators (permutations with the target cycle structure fixing their own
 index), derives the remaining translations by conjugation, and keeps the
-tables that satisfy the conjugation closure, validate as quandles, are
-connected, and match the profile.  Filters run cheapest first; the survivors
+tables that satisfy the conjugation closure, validate as quandles and are
+connected; such a table has the target profile, as its translations are all
+conjugate to the canonical R_1.  Filters run cheapest first; the survivors
 at each stage are reported for tuning.  The search runs in one process:
 the per-block enumeration and unary filter (_Searcher.prepare) take nearly
 all of its time, and the tree walk after it takes milliseconds.
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .limits import DEFAULT_SEARCH_CAP, resolve_cap
 from .shq import _block_bounds, _canonical_r1, _label_block_lengths
-from .structure import _group_isomorphic, is_connected, profile
+from .structure import _group_isomorphic, is_connected
 
 # Candidate generators are enumerated per block; past this count the
 # enumeration would dominate the run time, so the search refuses upfront.
@@ -304,9 +305,6 @@ class _Searcher:
         counters["dist"] += 1
         if not is_connected(q):
             return
-        prof = profile(q)
-        if prof.connected_form is None or prof.connected_form.lengths != self.lengths:
-            return  # cannot happen: structures are forced; kept as a guard
         counters["conn"] += 1
         found.append(q.array)
 

@@ -24,7 +24,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidQuandleError,
     ParamOutOfRange,
-    ProfileInconsistency,
     SizeLimitExceeded,
 )
 from .limits import DEFAULT_ENUM_CAP, resolve_cap
@@ -46,31 +45,31 @@ class Profile:
         return "[" + "; ".join(str(s) for s in self.structures) + "]"
 
 
+def _orbit_minima(moves: np.ndarray) -> np.ndarray:
+    """low[x]: the smallest label (int32) of x's orbit under the maps whose
+    images of x are the row moves[x].  Each label takes the smallest low of
+    its images until none drops; the maps are permutations, so every label
+    of an orbit reaches every other and the fixpoint is the orbit minimum."""
+    low = np.arange(moves.shape[0], dtype=np.int32)
+    while True:
+        nxt = np.minimum(low, low[moves].min(axis=1))
+        if not (nxt < low).any():
+            return low
+        low = nxt
+
+
 def orbits(q: QuandleTable) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition under the group generated by all right translations."""
-    tbl = q.array
-    left = np.ones(q.n, dtype=bool)
-    out = []
-    while left.any():
-        # the orbit of the smallest label left: grow it by the rows of its
-        # members, since row x lists x * j for every j
-        orbit = np.zeros(q.n, dtype=bool)
-        orbit[left.argmax()] = True
-        size = 1
-        while True:
-            orbit[tbl[orbit].ravel()] = True
-            grown = int(orbit.sum())
-            if grown == size:
-                break
-            size = grown
-        left &= ~orbit
-        out.append(tuple((np.flatnonzero(orbit) + 1).tolist()))
-    return tuple(out)
+    """Orbit partition under the group generated by all right translations
+    (row x lists the images x * j), ordered by smallest label."""
+    groups: dict[int, list[int]] = {}
+    for x, low in enumerate(_orbit_minima(q.array).tolist(), start=1):
+        groups.setdefault(low, []).append(x)
+    return tuple(map(tuple, groups.values()))
 
 
 def is_connected(q: QuandleTable) -> bool:
     """True when the right translations act transitively."""
-    return len(orbits(q)) == 1
+    return not _orbit_minima(q.array).any()
 
 
 def is_latin(q: QuandleTable) -> bool:
@@ -78,24 +77,21 @@ def is_latin(q: QuandleTable) -> bool:
     return bool((np.sort(q.array, axis=1) == np.arange(q.n)).all())
 
 
-def _cycle_lengths(q: QuandleTable) -> list[tuple[int, ...]]:
-    """Sorted cycle lengths of each right translation, i.e. of each column."""
-    return [tuple(sorted(map(len, _cycles(col)))) for col in q.array.T.tolist()]
+def _cycle_lengths(q: QuandleTable, low: np.ndarray) -> list[tuple[int, ...]]:
+    """Sorted cycle lengths of each column R_x, given low = _orbit_minima(q.array).
+    R_(x*j) = R_j R_x R_j^-1, so the translations of one orbit are conjugate:
+    only the column of each orbit's smallest label is walked."""
+    low = low.tolist()
+    walked = {x: tuple(sorted(map(len, _cycles(q.array[:, x].tolist())))) for x in set(low)}
+    return [walked[x] for x in low]
 
 
 def profile(q: QuandleTable) -> Profile:
-    """Profile of q; raises ProfileInconsistency if a connected table's
-    translations disagree (impossible for a valid table, kept as a guard)."""
-    structures = [CycleStructure(lengths) for lengths in _cycle_lengths(q)]
-    if is_connected(q):
-        first = structures[0]
-        for i, s in enumerate(structures[1:], start=2):
-            if s != first:
-                raise ProfileInconsistency(
-                    f"connected table with differing structures at 1 and {i}"
-                )
-        return Profile((first,), first)
-    return Profile(tuple(sorted(set(structures))), None)
+    """Profile of q: the sorted distinct cycle types of its translations,
+    one per orbit of labels, and the connected form when there is one orbit."""
+    low = _orbit_minima(q.array)
+    structures = tuple(map(CycleStructure, sorted(set(_cycle_lengths(q, low)))))
+    return Profile(structures, None if low.any() else structures[0])
 
 
 def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
@@ -110,7 +106,8 @@ def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
     grown, by one outside element e and a closure: growing R(S) by R(e)
     gives R applied to a set found from S, so no orbit is missed.  As each
     g in G_S = <R_s : s in S> maps S onto itself, e need only be the
-    smallest label of each G_S-orbit outside S.
+    smallest label of each G_S-orbit outside S: _orbit_minima on the
+    columns tbl[:, S], the same helper that gives the orbits of labels.
     """
     n = tbl.shape[0]
     cols = tbl[:, list(_generators(tbl))]
@@ -137,13 +134,7 @@ def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
     labels = np.arange(n)
     for orbit in out:  # grows while it is walked
         first = orbit[0]
-        # low[x]: the smallest label of x's G_S-orbit, by min-propagation
-        moves, low = tbl[:, first], labels
-        while True:
-            nxt = np.minimum(low, low[moves].min(axis=1))
-            if not (nxt < low).any():
-                break
-            low = nxt
+        low = _orbit_minima(tbl[:, first])
         for e in np.flatnonzero((low == labels) & ~first):
             grown = first.copy()
             grown[e] = True
@@ -279,12 +270,6 @@ def _group_isomorphic(tables, members) -> dict[int, list[int]]:
     return classes
 
 
-def _element_invariants(q: QuandleTable) -> list[tuple]:
-    """Cheap per-element isomorphism invariant: translation cycle lengths
-    plus fixed-point count."""
-    return [(lengths, lengths.count(1)) for lengths in _cycle_lengths(q)]
-
-
 def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
     """A bijection f with f(x * y) = f(x) * f(y), or None.
 
@@ -295,8 +280,8 @@ def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
     if q1.n != q2.n:
         return None
     n = q1.n
-    inv1 = _element_invariants(q1)
-    inv2 = _element_invariants(q2)
+    inv1 = _cycle_lengths(q1, _orbit_minima(q1.array))
+    inv2 = _cycle_lengths(q2, _orbit_minima(q2.array))
     if sorted(inv1) != sorted(inv2):
         return None
     t1 = q1.array.tolist()

@@ -1,5 +1,6 @@
 """Shared fixtures: the order-9 golden table and a bank of known SHQs."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,33 @@ def relabel(q: QuandleTable, f: Permutation) -> QuandleTable:
         for y in range(1, n + 1):
             rows[f(x) - 1][f(y) - 1] = f(q.op(x, y))
     return QuandleTable.from_rows(rows)
+
+
+def disjoint_union(*pieces: QuandleTable) -> QuandleTable:
+    """The pieces side by side, labelled in turn, with x * y = x across
+    pieces; built through from_rows, which validates."""
+    n = sum(q.n for q in pieces)
+    rows = [[x] * n for x in range(1, n + 1)]
+    lo = 0
+    for q in pieces:
+        for x, row in enumerate(q.rows):
+            rows[lo + x][lo:lo + q.n] = [lo + v for v in row]
+        lo += q.n
+    return QuandleTable.from_rows(rows)
+
+
+def shuffled(q: QuandleTable, seed: int) -> QuandleTable:
+    """q relabelled by a seeded random permutation."""
+    image = list(range(1, q.n + 1))
+    random.Random(seed).shuffle(image)
+    return relabel(q, Permutation(image))
+
+
+# Three orbits with three different translation types, relabelled so that no
+# orbit is a block of labels: profile [(1^13, 2); (1^11, 4); (1^9, 6)].
+UNION = shuffled(
+    disjoint_union(affine_quandle(3, 2), affine_quandle(5, 2), affine_quandle(7, 3)), 15
+)
 
 
 def cyclic_type_quandle(p: int, a: int) -> QuandleTable:

@@ -295,6 +295,12 @@ class TestIntegerArguments:
             lambda: galois_affine_quandle(3, 2.0, 3),
             lambda: family_embedding(3, 2.0),
             lambda: naive_connected_quandles(3.0),
+            # the multiplier: an encoding or coefficients, each an integer
+            lambda: galois_affine_quandle(2, 2, 2.0),
+            lambda: galois_affine_quandle(2, 2, True),
+            lambda: galois_affine_quandle(2, 2, "2"),
+            lambda: galois_affine_quandle(2, 2, (1.0, 1)),
+            lambda: galois_affine_quandle(2, 2, (True, 1)),
         ],
     )
     def test_refused(self, build):
@@ -308,6 +314,10 @@ class TestIntegerArguments:
             galois_affine_quandle(2, 2, 2)
         )
         assert naive_connected_quandles(np.int64(3)) == naive_connected_quandles(3)
+        assert galois_affine_quandle(2, 2, np.int64(2)) == galois_affine_quandle(2, 2, 2)
+        assert galois_affine_quandle(2, 2, (np.int64(1), 1)) == (
+            galois_affine_quandle(2, 2, (1, 1))
+        )
         report = family_embedding(np.int32(3), np.int64(2))
         assert report == family_embedding(3, 2)
         assert type(report.p) is int and type(report.c) is int

@@ -36,13 +36,16 @@ from quandlekit import structure
 from conftest import (
     SHQS,
     SMALL,
+    UNION,
     cyclic_type_quandle,
     dihedral_quandle,
+    disjoint_union,
     relabel,
     relabelled,
+    shuffled,
     trivial_quandle,
 )
-from test_table_oracles import reference_inventory
+from test_table_oracles import reference_inventory, reference_orbits, reference_profile
 
 
 def subfield_quandle(p: int, a: int, s: int) -> QuandleTable:
@@ -122,6 +125,54 @@ class TestProfile:
                     break
             lengths.append(steps)
         assert p.connected_form.lengths == tuple(sorted(lengths)) == (1, 2, 6, 18)
+
+
+class TestOrbitsOfDifferentTypes:
+    """UNION has three orbits whose translations have three cycle types."""
+
+    def test_matches_oracles(self):
+        assert orbits(UNION) == reference_orbits(UNION)
+        assert [len(o) for o in orbits(UNION)] == [7, 5, 3]
+        assert not is_connected(UNION)
+        assert profile(UNION) == reference_profile(UNION)
+        assert str(profile(UNION)) == "[(1^13, 2); (1^11, 4); (1^9, 6)]"
+
+    def test_isomorphism(self):
+        other = shuffled(UNION, 16)
+        f = are_isomorphic(UNION, other)
+        assert f is not None
+        for x in range(1, UNION.n + 1):
+            for y in range(1, UNION.n + 1):
+                assert f(UNION.op(x, y)) == other.op(f(x), f(y))
+        # affine (5, 3) has the translation type of (5, 2) but is another quandle
+        swapped = shuffled(
+            disjoint_union(affine_quandle(3, 2), affine_quandle(5, 3), affine_quandle(7, 3)),
+            17,
+        )
+        assert profile(swapped) == profile(UNION)
+        assert are_isomorphic(UNION, swapped) is None
+        assert are_isomorphic(swapped, UNION) is None
+
+    def test_inventory_matches_reference(self):
+        assert enumerate_subquandles(UNION) == reference_inventory(UNION)
+
+    @pytest.mark.parametrize(
+        "make, walks",
+        [(lambda: shq_family(5, 3), 1), (lambda: UNION, 3), (lambda: trivial_quandle(6), 6)],
+        ids=["family(5,3)", "union", "trivial6"],
+    )
+    def test_profile_walks_one_column_per_orbit(self, make, walks, monkeypatch):
+        q = make()
+        calls = []
+        walk = structure._cycles
+
+        def counted(img):
+            calls.append(1)
+            return walk(img)
+
+        monkeypatch.setattr(structure, "_cycles", counted)
+        profile(q)
+        assert len(calls) == walks
 
 
 class TestClosure:

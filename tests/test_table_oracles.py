@@ -7,6 +7,8 @@ objects with `right_translation`.  The hypothesis tests compare the two on
 relabelled affine, family, trivial and dihedral tables, on their canonical
 forms, and on unchecked copies of those with two columns or two entries of
 a column swapped, which make the partition and conjugation checks fail.
+`profile` is compared only on the copies that are still quandles: it walks
+one translation per orbit, which stands for the orbit only in a quandle.
 
 The search's batched conjugation-closure check `_closed` is compared the same
 way with `reference_closed`, the loop over permutation tuples the search ran
@@ -84,6 +86,7 @@ from quandlekit import (
     shq_family,
     subtable,
     translations,
+    validate_quandle,
     verify_main_theorem,
 )
 from quandlekit import construct, core
@@ -545,7 +548,8 @@ class TestArrayFormsMatchReference:
     @settings(max_examples=120, deadline=None)
     @given(canonical_tables(), st.integers(0, 14))
     def test_shq_checks(self, q, exponent):
-        assert outcome(profile, q) == outcome(reference_profile, q)
+        if validate_quandle(q.array + 1).ok:
+            assert outcome(profile, q) == outcome(reference_profile, q)
         assert outcome(fix_blocks, q, exponent) == outcome(reference_fix_blocks, q, exponent)
         assert outcome(check_conjugation_relations, q) == outcome(reference_conjugation, q)
         assert outcome(check_lcm_divisibility, q) == outcome(reference_lcm, q)
