@@ -9,16 +9,14 @@ index), derives the remaining translations by conjugation, and keeps the
 tables that satisfy the conjugation closure, validate as quandles and are
 connected; such a table has the target profile, as its translations are all
 conjugate to the canonical R_1.  Filters run cheapest first; the survivors
-at each stage are reported for tuning.  The search runs in one process:
-the per-block enumeration and unary filter (_Searcher.prepare) take nearly
-all of its time, and the tree walk after it takes milliseconds.
+at each stage are reported for tuning.  The search runs in one process.
 
 Permutations are 0-based integer arrays, the column form of QuandleTable.array:
-a block's candidates come as (_SLICE, n) arrays of rows unranked from their row
-numbers, its translations are gathers by powers of R_1, and a partial table
-keeps R_u in column u.  One batched check, _closed, tests the conjugation
-closure on a stack of partial tables: the unary filter calls it on one block
-and R_1, the depth-first tree on the assigned prefix.
+a block's generators come from a backtracking with propagation that never
+lists the candidate space, its translations are gathers by powers of R_1, and
+a partial table keeps R_u in column u.  One batched check, _closed, tests the
+conjugation closure on a stack of partial tables: the unary filter calls it on
+one block and R_1, the depth-first tree on the assigned prefix.
 
 naive_connected_quandles is the independent reference for tiny orders: plain
 depth-first assignment of columns with direct axiom checks, sharing nothing
@@ -31,7 +29,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +45,10 @@ from .limits import DEFAULT_SEARCH_CAP, resolve_cap
 from .shq import _block_bounds, _canonical_r1, _label_block_lengths
 from .structure import _group_isomorphic, is_connected
 
-# Candidate generators are enumerated per block; past this count the
-# enumeration would dominate the run time, so the search refuses upfront.
+# A profile with more candidate generators per block (permutations of the
+# target cycle type fixing n_i) is refused upfront.  The backtracking never
+# lists them, but nothing else bounds its work yet.
 _RAW_CANDIDATE_LIMIT = 1_000_000
-# Raw candidates are generated and filtered this many rows at a time, which
-# bounds the memory of the rows and of the partial tables the closure check reads.
-_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,8 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Survivor counts per filter stage, for tuning and regressions."""
+    """Survivor counts per filter stage, for tuning and regressions.
+    per_generator_raw is each block's candidate space, counted in closed form."""
 
     raw_space: int
     per_generator_raw: tuple[int, ...]
@@ -117,77 +114,13 @@ class SearchResult:
 
 
 def _candidate_count(n: int, lengths) -> int:
-    """Number of rows _cycle_candidates produces, closed form."""
+    """Permutations of cycle type `lengths` fixing one given label: closed form."""
     remaining = n - 1
     count = 1
     for length in (x for x in lengths if x > 1):
         count *= comb(remaining, length) * factorial(length - 1)
         remaining -= length
     return count
-
-
-def _lex_permutations(ranks: np.ndarray, m: int) -> np.ndarray:
-    """Row b is the ranks[b]-th permutation of range(m) in lexicographic
-    order, the order of itertools.permutations.
-
-    The factorial digits of a rank are its Lehmer code: digit k picks the
-    digit-th smallest value not used left of k.  Read from the right, each
-    digit shifts up the values at or above it on its right.
-    """
-    out = np.empty((len(ranks), m), dtype=np.int8)
-    for k in range(m):
-        out[:, k], ranks = np.divmod(ranks, factorial(m - 1 - k))
-    for k in range(m - 2, -1, -1):
-        right = out[:, k + 1 :]
-        right += right >= out[:, k, None]
-    return out
-
-
-def _candidate_slices(n: int, lengths, fixed: int):
-    """The rows of _cycle_candidates, _SLICE rows at a time.
-
-    Row r is unranked from its mixed-radix digits, one per cycle length > 1
-    with the first length most significant.  A digit picks a subset of the
-    points still free, by lexicographic rank among the combinations, and the
-    cycle through it, whose head is the subset's first point and whose tail
-    is its rest in the lexicographic order of the permutations.  Only the
-    combination tables are built per level; the temporaries grow with
-    _SLICE, not with the number of rows.
-    """
-    levels = []
-    free = n - 1
-    for length in (x for x in lengths if x > 1):
-        subsets = list(itertools.combinations(range(free), length))
-        rest = [[x for x in range(free) if x not in c] for c in subsets]
-        levels.append((length, np.array(subsets, dtype=np.int8), np.array(rest, dtype=np.int8)))
-        free -= length
-    points = np.array([x for x in range(n) if x != fixed], dtype=np.int8)
-    total = _candidate_count(n, lengths)
-    for start in range(0, total, _SLICE):
-        ranks = np.arange(start, min(start + _SLICE, total))
-        out = np.tile(np.arange(n, dtype=np.int8), (len(ranks), 1))
-        left = np.broadcast_to(points, (len(ranks), len(points)))
-        weight = total
-        for length, subsets, rest in levels:
-            weight //= len(subsets) * factorial(length - 1)
-            digit, ranks = np.divmod(ranks, weight)
-            pick, tail = np.divmod(digit, factorial(length - 1))
-            cyc = np.take_along_axis(left, subsets[pick], axis=1)
-            cyc[:, 1:] = np.take_along_axis(
-                cyc[:, 1:], _lex_permutations(tail, length - 1), axis=1
-            )
-            np.put_along_axis(out, cyc, np.roll(cyc, -1, axis=1), axis=1)
-            left = np.take_along_axis(left, rest[pick], axis=1)
-        yield out
-
-
-def _cycle_candidates(n: int, lengths, fixed: int) -> np.ndarray:
-    """All 0-based images with cycle type `lengths` whose unique fixed point
-    is `fixed`, one per row, in deterministic order.
-
-    int8 holds every label: _RAW_CANDIDATE_LIMIT refuses every order past 12.
-    """
-    return np.concatenate(list(_candidate_slices(n, lengths, fixed)))
 
 
 def _closed(tables: np.ndarray, labels) -> np.ndarray:
@@ -223,10 +156,10 @@ class _Searcher:
     def __init__(self, lengths: tuple[int, ...]):
         self.lengths = lengths
         self.n = sum(lengths)
-        per_block = _candidate_count(self.n, lengths)
-        if per_block > _RAW_CANDIDATE_LIMIT:
+        self.per_block = _candidate_count(self.n, lengths)
+        if self.per_block > _RAW_CANDIDATE_LIMIT:
             raise SizeLimitExceeded(
-                f"profile {lengths} needs {per_block} candidate generators "
+                f"profile {lengths} needs {self.per_block} candidate generators "
                 f"per block, beyond the supported {_RAW_CANDIDATE_LIMIT}"
             )
         self.ns = (0,) + _block_bounds(lengths)
@@ -236,8 +169,6 @@ class _Searcher:
             for k in range(-max(lengths), max(lengths) + 1)
         }
         self.block_len = np.array(_label_block_lengths(lengths))
-        self.raw_counts: list[int] = []
-        self.unary_counts: list[int] = []
         # per block: the surviving translations of the block, as (K, n, l) columns
         self.filtered: list[np.ndarray] = []
 
@@ -254,24 +185,92 @@ class _Searcher:
             out[:, :, lo + k - 1] = self.r1_pow[k][cands[:, self.r1_pow[-k]]]
         return out
 
+    def generators(self, level: int) -> np.ndarray:
+        """A superset of the unary survivors of block level + 2, as (K, n) int8
+        generators g, by backtracking over the partial image of g.
+
+        g fixes n_i and no other label; the labels of L = {1} + the block are
+        branched on first.  Each choice is propagated to a fixpoint through
+        g(s y) = s g(y), s = R_1^l, and g(R_v(y)) = R_(g(v))(g(y)) for v, g(v)
+        in L (the closure at u = n_i), R_v = R_1^k g R_1^-k read through the
+        partial g.  A branch ends when g is not injective, breaks the lcm rule,
+        closes a cycle whose length is not an unused one of the profile, or
+        has an open path longer than every unused length.
+        """
+        n, lengths = self.n, self.lengths[1:]
+        lo, hi = self.ns[level + 1], self.ns[level + 2]
+        r = {k: self.r1_pow[k].tolist() for k in range(lo - hi, hi - lo + 1)}
+        s, blen = r[hi - lo], self.block_len.tolist()
+        need = np.lcm(self.block_len, hi - lo).tolist()
+        labels = [0, *range(lo, hi - 1)]
+        in_l = [x == 0 or lo <= x < hi for x in range(n)]
+
+        def read(v, y, img):  # R_v(y) through the partial g, or -1; R_1 reads no g
+            t = img[r[lo - 1 - v][y]] if v else y
+            return r[v - lo + 1 if v else 1][t] if t >= 0 else -1
+
+        def propagate(img, inv, used, stack):  # the new closed lengths, or None
+            while stack:
+                a, b = stack.pop()
+                if img[a] == b:
+                    continue
+                if img[a] >= 0 or inv[b] >= 0 or a == b or need[a] % blen[b]:
+                    return None
+                img[a], inv[b] = b, a
+                head, tail, size = a, b, 1
+                while tail != a and img[tail] >= 0:
+                    tail, size = img[tail], size + 1
+                if tail == a:  # a cycle of `size` closed
+                    if size not in lengths or used >> size & 1:
+                        return None
+                    used |= 1 << size
+                else:  # an open path of size + 1 labels and more before a
+                    while inv[head] >= 0:
+                        head, size = inv[head], size + 1
+                    if all(x <= size or used >> x & 1 for x in lengths):
+                        return None
+                stack.append((s[a], s[b]))
+                # the instances (v, y) whose reads of g the new value completes
+                for v in labels:
+                    w = img[v]
+                    if w < 0 or not in_l[w]:
+                        continue
+                    if v == a:
+                        ys = range(n)
+                    else:  # y = a, and the y whose R_v(y) or R_w(g(y)) reads g at a
+                        ys = (a, r[v - lo + 1][a] if v else a, inv[r[w - lo + 1][a]] if w else -1)
+                    for y in ys:
+                        if y >= 0 and img[y] >= 0:
+                            x, t = read(v, y, img), read(w, img[y], img)
+                            if x >= 0 and t >= 0:
+                                stack.append((x, t))
+            return used
+
+        order = labels + [x for x in range(n) if not in_l[x]]
+        found = []
+
+        def branch(img, inv, used):
+            x = next((x for x in order if img[x] < 0), None)
+            if x is None:
+                return found.append(img)
+            for v in range(n):
+                img2, inv2 = img[:], inv[:]
+                used2 = propagate(img2, inv2, used, [(x, v)])
+                if used2 is not None:
+                    branch(img2, inv2, used2)
+
+        start = [x if x == hi - 1 else -1 for x in range(n)]
+        branch(start, start[:], 0)
+        return np.array(found, dtype=np.int8).reshape(-1, n)
+
     def prepare(self):
-        """Enumerate and unary-filter the generator candidates per block."""
+        """Find each block's unary survivors: the generators whose tables
+        pass the closure on {1} + the block."""
         for level in range(len(self.lengths) - 1):
             lo, hi = self.ns[level + 1], self.ns[level + 2]
-            ell = hi - lo
-            s = self.r1_pow[ell]
-            need = np.lcm(self.block_len, ell)
+            tables = self.block_tables(level, self.generators(level))
             # R_1 last: commuting with R_1^l already implies its closure
-            labels = [*range(lo, hi), 0]
-            keep = []
-            for cand in _candidate_slices(self.n, self.lengths, hi - 1):
-                cand = cand[(cand[:, s] == s[cand]).all(axis=1)]  # commutes with R_1^l
-                cand = cand[(need % self.block_len[cand] == 0).all(axis=1)]
-                tables = self.block_tables(level, cand)
-                keep.append(tables[_closed(tables, labels)][:, :, lo:hi])
-            self.raw_counts.append(_candidate_count(self.n, self.lengths))
-            self.filtered.append(np.concatenate(keep))
-            self.unary_counts.append(len(self.filtered[-1]))
+            self.filtered.append(tables[_closed(tables, [*range(lo, hi), 0])][:, :, lo:hi])
 
     def run(self):
         """Depth-first over generator choices; returns (tables, counters)."""
@@ -335,13 +334,11 @@ def search_by_profile(
         groups = _group_isomorphic(quandles, range(len(quandles)))
         iso_classes = tuple(tuple(members) for members in groups.values())
 
-    raw_space = 1
-    for cnt in searcher.raw_counts:
-        raw_space *= cnt
+    raw = (searcher.per_block,) * len(searcher.filtered)
     stats = SearchStats(
-        raw_space=raw_space,
-        per_generator_raw=tuple(searcher.raw_counts),
-        per_generator_unary=tuple(searcher.unary_counts),
+        raw_space=prod(raw),
+        per_generator_raw=raw,
+        per_generator_unary=tuple(map(len, searcher.filtered)),
         nodes_expanded=totals["nodes"],
         conjugation_pass=totals["conj"],
         distributivity_pass=totals["dist"],

@@ -77,11 +77,11 @@ def is_latin(q: QuandleTable) -> bool:
     return bool((np.sort(q.array, axis=1) == np.arange(q.n)).all())
 
 
-def _cycle_lengths(q: QuandleTable, low: np.ndarray) -> list[tuple[int, ...]]:
+def _cycle_lengths(q: QuandleTable, low: np.ndarray | None = None) -> list[tuple[int, ...]]:
     """Sorted cycle lengths of each column R_x, given low = _orbit_minima(q.array).
     R_(x*j) = R_j R_x R_j^-1, so the translations of one orbit are conjugate:
     only the column of each orbit's smallest label is walked."""
-    low = low.tolist()
+    low = (_orbit_minima(q.array) if low is None else low).tolist()
     walked = {x: tuple(sorted(map(len, _cycles(q.array[:, x].tolist())))) for x in set(low)}
     return [walked[x] for x in low]
 
@@ -258,11 +258,13 @@ def _group_isomorphic(tables, members) -> dict[int, list[int]]:
 
     Maps the first member of each class to its members; every later table is
     compared with the class representatives in the order they were found.
+    Each table's cycle types are computed once.
     """
+    types = {i: _cycle_lengths(tables[i]) for i in members}
     classes: dict[int, list[int]] = {}
     for i in members:
         for rep, group in classes.items():
-            if are_isomorphic(tables[i], tables[rep]) is not None:
+            if _isomorphism(tables[i], types[i], tables[rep], types[rep]) is not None:
                 group.append(i)
                 break
         else:
@@ -277,12 +279,13 @@ def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:
     assignment is propagated through the operation, which pins down most of
     the map once a generating set is assigned.
     """
-    if q1.n != q2.n:
-        return None
+    return _isomorphism(q1, _cycle_lengths(q1), q2, _cycle_lengths(q2))
+
+
+def _isomorphism(q1, inv1, q2, inv2) -> Permutation | None:
+    """are_isomorphic, given the cycle types inv1 and inv2 of the columns."""
     n = q1.n
-    inv1 = _cycle_lengths(q1, _orbit_minima(q1.array))
-    inv2 = _cycle_lengths(q2, _orbit_minima(q2.array))
-    if sorted(inv1) != sorted(inv2):
+    if q2.n != n or sorted(inv1) != sorted(inv2):
         return None
     t1 = q1.array.tolist()
     t2 = q2.array.tolist()

@@ -102,6 +102,15 @@ SHQS = [shq_family(p, c) for p, c in ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7
     cyclic_type_quandle(p, a) for p, a in ((2, 2), (2, 3), (2, 4), (3, 2))
 ]
 
+# The 24 distinct-length profiles within the default search cap that the
+# per-block candidate limit accepts, by order.
+ACCEPTED_PROFILES = [
+    (1, 2), (1, 3), (1, 4), (1, 2, 3), (1, 5), (1, 2, 4), (1, 6), (1, 2, 5),
+    (1, 3, 4), (1, 7), (1, 2, 6), (1, 3, 5), (1, 8), (1, 2, 3, 4), (1, 2, 7),
+    (1, 3, 6), (1, 4, 5), (1, 9), (1, 2, 3, 5), (1, 2, 8), (1, 3, 7), (1, 4, 6),
+    (1, 10), (1, 2, 4, 5),
+]
+
 
 @st.composite
 def relabelled(draw, bank):

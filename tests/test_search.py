@@ -21,10 +21,10 @@ from quandlekit import (
     search_by_profile,
     validate_quandle,
 )
-from quandlekit import search
 from quandlekit.limits import DEFAULT_SEARCH_CAP
-from quandlekit.search import _candidate_count, _cycle_candidates, _Searcher
-from conftest import dihedral_quandle
+from quandlekit.search import _candidate_count, _Searcher
+from conftest import ACCEPTED_PROFILES, dihedral_quandle
+from test_table_oracles import cycle_candidates
 
 
 class TestSearchSpec:
@@ -59,11 +59,11 @@ class TestCandidateCount:
     def test_closed_form_matches_enumeration(self):
         for n, lengths in [(9, (1, 2, 6)), (5, (1, 4)), (4, (1, 3)), (7, (1, 2, 4))]:
             assert _candidate_count(n, lengths) == len(
-                _cycle_candidates(n, lengths, n - 1)
+                cycle_candidates(n, lengths, n - 1)
             )
 
     def test_candidates_have_required_shape(self):
-        for img in _cycle_candidates(5, (1, 4), 2):
+        for img in cycle_candidates(5, (1, 4), 2):
             assert img[2] == 2
             assert sum(1 for i, v in enumerate(img) if i == v) == 1
 
@@ -75,7 +75,7 @@ class TestCandidateCount:
         # Of the 1,277 distinct-length profiles within the default search cap,
         # the per-block candidate limit lets exactly these 24 through; every
         # other one is refused when the searcher is built, before any
-        # candidate row exists.
+        # generator is looked for.
         def tails(budget, lo):
             for x in range(lo, budget + 1):
                 yield (x,)
@@ -83,9 +83,9 @@ class TestCandidateCount:
                     yield (x, *rest)
 
         def no_candidates(*args):
-            raise AssertionError(f"candidates built for {args}")
+            raise AssertionError(f"generators looked for at {args}")
 
-        monkeypatch.setattr(search, "_candidate_slices", no_candidates)
+        monkeypatch.setattr(_Searcher, "generators", no_candidates)
         profiles = sorted(
             ((1, *rest) for rest in tails(DEFAULT_SEARCH_CAP - 1, 2)),
             key=lambda lengths: (sum(lengths), lengths),
@@ -98,12 +98,7 @@ class TestCandidateCount:
                 continue
             accepted.append(lengths)
         assert len(profiles) == 1277
-        assert accepted == [
-            (1, 2), (1, 3), (1, 4), (1, 2, 3), (1, 5), (1, 2, 4), (1, 6), (1, 2, 5),
-            (1, 3, 4), (1, 7), (1, 2, 6), (1, 3, 5), (1, 8), (1, 2, 3, 4), (1, 2, 7),
-            (1, 3, 6), (1, 4, 5), (1, 9), (1, 2, 3, 5), (1, 2, 8), (1, 3, 7), (1, 4, 6),
-            (1, 10), (1, 2, 4, 5),
-        ]
+        assert accepted == ACCEPTED_PROFILES
 
 
 class TestKnownProfiles:
@@ -209,6 +204,54 @@ class TestStats:
             "conjugation": hits,
             "distributivity": hits,
             "connectivity": hits,
+        }
+
+    # read from the search that unranked every candidate generator and
+    # filtered it: (per_generator_unary, nodes_expanded, conjugation,
+    # distributivity, connectivity)
+    @pytest.mark.parametrize(
+        "lengths, pinned",
+        [
+            ((1, 2), ([1], 1, 1, 1, 1)),
+            ((1, 3), ([1], 1, 1, 1, 1)),
+            ((1, 4), ([2], 2, 2, 2, 2)),
+            ((1, 2, 3), ([1, 1], 2, 0, 0, 0)),
+            ((1, 5), ([0], 0, 0, 0, 0)),
+            ((1, 2, 4), ([1, 2], 3, 0, 0, 0)),
+            ((1, 6), ([2], 2, 2, 2, 2)),
+            ((1, 2, 5), ([1, 0], 1, 0, 0, 0)),
+            ((1, 3, 4), ([1, 2], 3, 0, 0, 0)),
+            ((1, 7), ([2], 2, 2, 2, 2)),
+            ((1, 2, 6), ([3, 8], 27, 6, 6, 6)),
+            ((1, 3, 5), ([1, 0], 1, 0, 0, 0)),
+            ((1, 8), ([2], 2, 2, 2, 2)),
+            ((1, 2, 3, 4), ([1, 1, 2], 2, 0, 0, 0)),
+            ((1, 2, 7), ([1, 2], 3, 0, 0, 0)),
+            ((1, 3, 6), ([4, 2], 12, 0, 0, 0)),
+            ((1, 4, 5), ([2, 0], 2, 0, 0, 0)),
+            ((1, 9), ([0], 0, 0, 0, 0)),
+            ((1, 2, 3, 5), ([1, 1, 0], 2, 0, 0, 0)),
+            ((1, 2, 8), ([1, 2], 3, 0, 0, 0)),
+            ((1, 3, 7), ([1, 2], 3, 0, 0, 0)),
+            ((1, 4, 6), ([2, 2], 6, 0, 0, 0)),
+            ((1, 10), ([4], 4, 4, 4, 4)),
+            ((1, 2, 4, 5), ([1, 2, 0], 3, 0, 0, 0)),
+        ],
+        ids=str,
+    )
+    def test_accepted_profiles_pinned_stats(self, lengths, pinned):
+        unary, nodes, conj, dist, conn = pinned
+        stats = search_by_profile(SearchSpec(lengths)).stats.as_dict()
+        raw = _candidate_count(sum(lengths), lengths)
+        assert stats == {
+            "raw_space": raw ** (len(lengths) - 1),
+            "per_generator_raw": [raw] * (len(lengths) - 1),
+            "per_generator_unary": unary,
+            "nodes_expanded": nodes,
+            "fixed_point": raw ** (len(lengths) - 1),
+            "conjugation": conj,
+            "distributivity": dist,
+            "connectivity": conn,
         }
 
     def test_conjugation_implies_distributivity(self):

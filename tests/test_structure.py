@@ -446,6 +446,34 @@ class TestAreIsomorphic:
         assert are_isomorphic(dihedral_quandle(4), trivial_quandle(4)) is None
 
 
+class TestGroupIsomorphic:
+    def test_invariants_once_per_table(self, monkeypatch):
+        # order 7: affine multipliers 3 and 5, and 6 (the dihedral quandle),
+        # each plain and relabelled, in an order that makes every later table
+        # meet a representative it is not isomorphic to first
+        tables = [
+            affine_quandle(7, 3), affine_quandle(7, 5), shuffled(affine_quandle(7, 5), 1),
+            dihedral_quandle(7), shuffled(affine_quandle(7, 3), 2),
+            shuffled(affine_quandle(7, 6), 3), shuffled(affine_quandle(7, 3), 4),
+        ]
+        want: dict[int, list[int]] = {}
+        for i, q in enumerate(tables):
+            rep = next((r for r in want if are_isomorphic(q, tables[r]) is not None), None)
+            want.setdefault(i if rep is None else rep, []).append(i)
+        assert want == {0: [0, 4, 6], 1: [1, 2], 3: [3, 5]}
+        seen = []
+        real = structure._orbit_minima
+
+        def spy(moves):
+            seen.append(moves)
+            return real(moves)
+
+        monkeypatch.setattr(structure, "_orbit_minima", spy)
+        assert structure._group_isomorphic(tables, range(len(tables))) == want
+        assert len(seen) == len(tables)
+        assert [id(m) for m in seen] == [id(q.array) for q in tables]
+
+
 class TestTranslationConjugation:
     def test_inner_automorphisms_move_fixed_sets(self, q94):
         # R_g is an automorphism, so Fix(R_{g(i)}) = R_g(Fix(R_i))

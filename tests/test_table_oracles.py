@@ -12,9 +12,12 @@ one translation per orbit, which stands for the orbit only in a quandle.
 
 The search's batched conjugation-closure check `_closed` is compared the same
 way with `reference_closed`, the loop over permutation tuples the search ran
-before, on stacks of its own candidate tables.  Its candidate generators,
-unranked a slice of rows at a time, are compared with
-`reference_cycle_candidates`, the recursion that wrote them one row at a time.
+before, on stacks of its own candidate tables.  `reference_unary_survivors` is
+the unary filter as it ran before the search found each block's generators by
+backtracking: every candidate generator, unranked a slice of rows at a time by
+`candidate_slices`, then the commute, lcm and `_closed` filters.  The
+unranking is compared with `reference_cycle_candidates`, the recursion that
+wrote the candidates one row at a time before it.
 
 `reference_inventory` is the subquandle inventory as it was built before the
 enumeration went orbit by orbit: every closed set from the breadth-first
@@ -38,7 +41,7 @@ import random
 import sys
 from collections import deque
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from unittest.mock import patch
 
 import numpy as np
@@ -93,15 +96,16 @@ from quandlekit import construct, core
 from quandlekit.core import _close_mask
 from quandlekit.limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
 from quandlekit.shq import CheckOutcome, _block_bounds
-from quandlekit import search
-from quandlekit.search import (
-    _candidate_count,
-    _candidate_slices,
-    _closed,
-    _cycle_candidates,
-    _Searcher,
+from quandlekit.search import _candidate_count, _closed, _Searcher
+from conftest import (
+    ACCEPTED_PROFILES,
+    SHQS,
+    SMALL,
+    dihedral_quandle,
+    relabel,
+    relabelled,
+    trivial_quandle,
 )
-from conftest import SHQS, SMALL, dihedral_quandle, relabel, relabelled, trivial_quandle
 from test_core import relabelled_rows
 
 
@@ -277,6 +281,94 @@ def reference_cycle_candidates(n: int, lengths, fixed: int) -> np.ndarray:
 
     rec(0, tuple(x for x in range(n) if x != fixed))
     return out
+
+
+# candidate rows are unranked and filtered this many at a time
+SLICE = 4096
+
+
+def lex_permutations(ranks: np.ndarray, m: int) -> np.ndarray:
+    """Row b is the ranks[b]-th permutation of range(m) in lexicographic
+    order, the order of itertools.permutations.
+
+    The factorial digits of a rank are its Lehmer code: digit k picks the
+    digit-th smallest value not used left of k.  Read from the right, each
+    digit shifts up the values at or above it on its right.
+    """
+    out = np.empty((len(ranks), m), dtype=np.int8)
+    for k in range(m):
+        out[:, k], ranks = np.divmod(ranks, factorial(m - 1 - k))
+    for k in range(m - 2, -1, -1):
+        right = out[:, k + 1 :]
+        right += right >= out[:, k, None]
+    return out
+
+
+def candidate_slices(n: int, lengths, fixed: int, size: int = SLICE):
+    """The rows of reference_cycle_candidates, `size` rows at a time.
+
+    Row r is unranked from its mixed-radix digits, one per cycle length > 1
+    with the first length most significant.  A digit picks a subset of the
+    points still free, by lexicographic rank among the combinations, and the
+    cycle through it, whose head is the subset's first point and whose tail
+    is its rest in the lexicographic order of the permutations.  Only the
+    combination tables are built per level; the temporaries grow with
+    `size`, not with the number of rows.
+    """
+    levels = []
+    free = n - 1
+    for length in (x for x in lengths if x > 1):
+        subsets = list(itertools.combinations(range(free), length))
+        rest = [[x for x in range(free) if x not in c] for c in subsets]
+        levels.append((length, np.array(subsets, dtype=np.int8), np.array(rest, dtype=np.int8)))
+        free -= length
+    points = np.array([x for x in range(n) if x != fixed], dtype=np.int8)
+    total = _candidate_count(n, lengths)
+    for start in range(0, total, size):
+        ranks = np.arange(start, min(start + size, total))
+        out = np.tile(np.arange(n, dtype=np.int8), (len(ranks), 1))
+        left = np.broadcast_to(points, (len(ranks), len(points)))
+        weight = total
+        for length, subsets, rest in levels:
+            weight //= len(subsets) * factorial(length - 1)
+            digit, ranks = np.divmod(ranks, weight)
+            pick, tail = np.divmod(digit, factorial(length - 1))
+            cyc = np.take_along_axis(left, subsets[pick], axis=1)
+            cyc[:, 1:] = np.take_along_axis(
+                cyc[:, 1:], lex_permutations(tail, length - 1), axis=1
+            )
+            np.put_along_axis(out, cyc, np.roll(cyc, -1, axis=1), axis=1)
+            left = np.take_along_axis(left, rest[pick], axis=1)
+        yield out
+
+
+def cycle_candidates(n: int, lengths, fixed: int, size: int = SLICE) -> np.ndarray:
+    """All 0-based images with cycle type `lengths` whose unique fixed point
+    is `fixed`, one per row, in the order of reference_cycle_candidates."""
+    return np.concatenate(list(candidate_slices(n, lengths, fixed, size)))
+
+
+def reference_generators(searcher: _Searcher, level: int):
+    """The candidate generators of block level + 2 that commute with
+    s = R_1^l and keep the lcm rule, a slice of rows at a time."""
+    lo, hi = searcher.ns[level + 1], searcher.ns[level + 2]
+    s = searcher.r1_pow[hi - lo]
+    need = np.lcm(searcher.block_len, hi - lo)
+    for cand in candidate_slices(searcher.n, searcher.lengths, hi - 1):
+        cand = cand[(cand[:, s] == s[cand]).all(axis=1)]
+        yield cand[(need % searcher.block_len[cand] == 0).all(axis=1)]
+
+
+def reference_unary_survivors(searcher: _Searcher, level: int) -> np.ndarray:
+    """The translations (K, n, l) of block level + 2 that pass the unary
+    filter, found by filtering every candidate generator: reference_generators,
+    then _closed on the block and R_1."""
+    lo, hi = searcher.ns[level + 1], searcher.ns[level + 2]
+    keep = []
+    for cand in reference_generators(searcher, level):
+        tables = searcher.block_tables(level, cand)
+        keep.append(tables[_closed(tables, [*range(lo, hi), 0])][:, :, lo:hi])
+    return np.concatenate(keep)
 
 
 def reference_pair_closures(tbl: np.ndarray):
@@ -581,7 +673,7 @@ def prepared(lengths) -> _Searcher:
 @lru_cache(maxsize=None)
 def raw_candidates(lengths, level: int):
     searcher = prepared(lengths)
-    return _cycle_candidates(searcher.n, lengths, searcher.ns[level + 2] - 1)
+    return cycle_candidates(searcher.n, lengths, searcher.ns[level + 2] - 1)
 
 
 @st.composite
@@ -646,6 +738,36 @@ class TestSearchClosure:
         assert _closed(stack, labels).tolist() == want
 
 
+class TestUnarySurvivors:
+    @pytest.mark.parametrize("lengths", ACCEPTED_PROFILES, ids=str)
+    def test_backtracking_matches_reference(self, lengths):
+        """Every level of every profile the search accepts: the same blocks
+        as filtering every candidate, each once."""
+        searcher = prepared(lengths)
+        assert len(searcher.filtered) == len(lengths) - 1
+        for level, got in enumerate(searcher.filtered):
+            want = reference_unary_survivors(searcher, level)
+            assert got.dtype == want.dtype == np.int8
+            assert got.shape[1:] == want.shape[1:]
+            assert sorted(map(bytes, got)) == sorted(map(bytes, want)), level
+            assert len(set(map(bytes, got))) == len(got), level
+
+    @pytest.mark.parametrize("lengths", [(1, 2, 6), (1, 3, 6), (1, 9)], ids=str)
+    def test_prepare_filters_a_superset(self, lengths, monkeypatch):
+        """The backtracking only has to be sound: given every candidate that
+        commutes with R_1^l and keeps the lcm rule, prepare keeps the same
+        blocks.  On (1,9) all 40,320 candidates are given and none is kept."""
+        def every_candidate(searcher, level):
+            return np.concatenate(list(reference_generators(searcher, level)))
+
+        monkeypatch.setattr(_Searcher, "generators", every_candidate)
+        searcher = _Searcher(lengths)
+        searcher.prepare()
+        for level, got in enumerate(searcher.filtered):
+            want = reference_unary_survivors(searcher, level)
+            assert sorted(map(bytes, got)) == sorted(map(bytes, want)), level
+
+
 # the 22 distinct-length profiles with at most 250,000 candidates per block,
 # (1,2,8), (1,3,7), (1,4,6) and (1,2,3,5) the largest (all of them have order
 # <= 12), and (1,10), the profile of shq_family(11, 2)
@@ -669,7 +791,7 @@ def cached_reference_candidates(lengths, fixed: int) -> np.ndarray:
 @st.composite
 def candidate_cases(draw):
     """(lengths, fixed, slice size): a profile, the fixed point of one of its
-    block generators, and a _SLICE value."""
+    block generators, and a slice size for candidate_slices."""
     lengths = draw(st.sampled_from(CANDIDATE_PROFILES))
     fixed = draw(st.sampled_from([b - 1 for b in _block_bounds(lengths)[1:]]))
     return lengths, fixed, draw(st.sampled_from([1, 7, 4096]))
@@ -683,20 +805,19 @@ class TestCycleCandidates:
     @example(((1, 10), 10, 4096))
     @example(((1, 10), 10, 1))
     def test_slices_match_reference(self, case):
-        """Same rows in the same order as the recursion.  With _SLICE at 1 or
-        7 the slice edges fall inside every level; at those sizes only the
-        first 500 slices are compared."""
+        """Same rows in the same order as the recursion.  With slices of 1
+        or 7 rows the slice edges fall inside every level; at those sizes only
+        the first 500 slices are compared."""
         lengths, fixed, size = case
         n = sum(lengths)
         want = cached_reference_candidates(lengths, fixed)
-        with patch.object(search, "_SLICE", size):
-            if len(want) <= 500 * size:
-                got = _cycle_candidates(n, lengths, fixed)
-            else:
-                got = np.concatenate(
-                    list(itertools.islice(_candidate_slices(n, lengths, fixed), 500))
-                )
-                want = want[: len(got)]
+        if len(want) <= 500 * size:
+            got = cycle_candidates(n, lengths, fixed, size)
+        else:
+            got = np.concatenate(
+                list(itertools.islice(candidate_slices(n, lengths, fixed, size), 500))
+            )
+            want = want[: len(got)]
         assert got.dtype == np.int8
         assert np.array_equal(got, want)
 
