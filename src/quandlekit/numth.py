@@ -2,25 +2,14 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
-from .errors import ParamOutOfRange
+from .errors import ParamOutOfRange, SizeLimitExceeded
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; fine for the table sizes handled here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by prime_power, so within its trial-division bound."""
+    return prime_power(n) == (n, 1)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -39,15 +28,28 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+_TRIAL_BOUND = 1 << 20
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, a) with n = p**a if n is a prime power, else None."""
+    """Return (p, a) with n = p**a if n is a prime power, else None.
+
+    Trial division runs only by d < 2**20, so the time is bounded for any n.
+    With a factor p found there, n is a prime power exactly when it is a
+    power of p; with none, n < 2**40 is prime.  A larger n with no factor
+    below 2**20 raises SizeLimitExceeded.
+    """
     if n < 2:
         return None
-    facs = factorize(n)
-    if len(facs) != 1:
-        return None
-    [(p, a)] = facs.items()
-    return p, a
+    p = next((d for d in range(2, min(_TRIAL_BOUND, isqrt(n) + 1)) if n % d == 0), n)
+    if p == n and n >= _TRIAL_BOUND**2:
+        raise SizeLimitExceeded(
+            f"{n} has no factor below {_TRIAL_BOUND}; cannot decide if it is a prime power"
+        )
+    a = 0
+    while n % p == 0:
+        n, a = n // p, a + 1
+    return (p, a) if n == 1 else None
 
 
 def euler_phi(n: int) -> int:

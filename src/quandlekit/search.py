@@ -3,20 +3,20 @@
 Any connected quandle whose translations have pairwise distinct cycle lengths
 can be relabeled so that R_1 is the canonical block permutation and every
 other translation is a power-of-R_1 conjugate of one of the c-1 block
-generators R_(n_i).  The search therefore fixes R_1, enumerates candidate
-generators (permutations with the target cycle structure fixing their own
-index), derives the remaining translations by conjugation, and keeps the
-tables that satisfy the conjugation closure, validate as quandles and are
-connected; such a table has the target profile, as its translations are all
-conjugate to the canonical R_1.  Filters run cheapest first; the survivors
-at each stage are reported for tuning.  The search runs in one process.
+generators R_(n_i).  The search therefore fixes R_1, finds each block's
+candidate generators (permutations with the target cycle structure fixing
+their own index), derives the remaining translations by conjugation, and
+keeps the tables that satisfy the conjugation closure and are connected.
+Such a table is a quandle by construction (see run) with the target
+profile, as its translations are all conjugate to the canonical R_1.  The
+survivors at each stage are reported for tuning.
 
 Permutations are 0-based integer arrays, the column form of QuandleTable.array:
 a block's generators come from a backtracking with propagation that never
-lists the candidate space, its translations are gathers by powers of R_1, and
-a partial table keeps R_u in column u.  One batched check, _closed, tests the
-conjugation closure on a stack of partial tables: the unary filter calls it on
-one block and R_1, the depth-first tree on the assigned prefix.
+lists the candidate space, and its translations are gathers by powers of
+R_1.  One batched check, _closed, tests the conjugation closure on a stack of
+partial tables, each keeping R_u in column u; the depth-first tree calls it
+once per level, on the assigned prefix.
 
 naive_connected_quandles is the independent reference for tiny orders: plain
 depth-first assignment of columns with direct axiom checks, sharing nothing
@@ -34,16 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QuandleTable, _integers, _power, format_qdl, validate_quandle
-from .errors import (
-    InvalidQuandleError,
-    ParamOutOfRange,
-    RepeatedLengthsUnsupported,
-    SizeLimitExceeded,
-)
+from .core import QuandleTable, _integers, _power, format_qdl
+from .errors import ParamOutOfRange, RepeatedLengthsUnsupported, SizeLimitExceeded
 from .limits import DEFAULT_SEARCH_CAP, resolve_cap
 from .shq import _block_bounds, _canonical_r1, _label_block_lengths
-from .structure import _group_isomorphic, is_connected
+from .structure import _cycle_lengths, _group_isomorphic, is_connected
 
 # A profile with more candidate generators per block (permutations of the
 # target cycle type fixing n_i) is refused upfront.  The backtracking never
@@ -79,7 +74,9 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchStats:
     """Survivor counts per filter stage, for tuning and regressions.
-    per_generator_raw is each block's candidate space, counted in closed form."""
+    per_generator_raw is each block's candidate space, counted in closed form.
+    distributivity_pass is conjugation_pass: the closure on all labels is
+    right distributivity, so no leaf is checked again."""
 
     raw_space: int
     per_generator_raw: tuple[int, ...]
@@ -133,8 +130,7 @@ def _closed(tables: np.ndarray, labels) -> np.ndarray:
     labels.  The relation is compared pointwise as (y*u)*(v*u) = (y*v)*u for
     every y, which needs no inverse.  The pairs (u, v) are tested one at a
     time, u-major in the order of `labels`, each on the tables that passed
-    the pairs before it: a candidate stack loses nearly all its tables in the
-    first pairs, after n comparisons per table rather than n per label.
+    the pairs before it, so a table is dropped at its first failing pair.
     """
     labels = np.asarray(labels)
     inside = np.zeros(tables.shape[1], dtype=bool)
@@ -169,25 +165,20 @@ class _Searcher:
             for k in range(-max(lengths), max(lengths) + 1)
         }
         self.block_len = np.array(_label_block_lengths(lengths))
-        # per block: the surviving translations of the block, as (K, n, l) columns
-        self.filtered: list[np.ndarray] = []
 
-    def block_tables(self, level: int, cands: np.ndarray) -> np.ndarray:
-        """One partial table per generator candidate of block level + 2.
-
-        Column 0 is R_1; column lo + k - 1 of the block holds R_1^k g R_1^-k,
-        the gather g[R_1^-k] mapped through R_1^k; other columns are 0.
-        """
+    def block_columns(self, level: int, gens: np.ndarray) -> np.ndarray:
+        """The translations of block level + 2 for each generator g in gens,
+        as (K, n, l) columns: column k - 1 is R_1^k g R_1^-k, the gather
+        g[R_1^-k] mapped through R_1^k."""
         lo, hi = self.ns[level + 1], self.ns[level + 2]
-        out = np.zeros((len(cands), self.n, self.n), dtype=np.int8)
-        out[:, :, 0] = self.r1_pow[1]
+        out = np.empty((len(gens), self.n, hi - lo), dtype=np.int8)
         for k in range(1, hi - lo + 1):
-            out[:, :, lo + k - 1] = self.r1_pow[k][cands[:, self.r1_pow[-k]]]
+            out[:, :, k - 1] = self.r1_pow[k][gens[:, self.r1_pow[-k]]]
         return out
 
     def generators(self, level: int) -> np.ndarray:
-        """A superset of the unary survivors of block level + 2, as (K, n) int8
-        generators g, by backtracking over the partial image of g.
+        """The unary survivors of block level + 2, as (K, n) int8 generators
+        g, by backtracking over the partial image of g.
 
         g fixes n_i and no other label; the labels of L = {1} + the block are
         branched on first.  Each choice is propagated to a fixpoint through
@@ -264,18 +255,26 @@ class _Searcher:
         return np.array(found, dtype=np.int8).reshape(-1, n)
 
     def prepare(self):
-        """Find each block's unary survivors: the generators whose tables
-        pass the closure on {1} + the block."""
-        for level in range(len(self.lengths) - 1):
-            lo, hi = self.ns[level + 1], self.ns[level + 2]
-            tables = self.block_tables(level, self.generators(level))
-            # R_1 last: commuting with R_1^l already implies its closure
-            self.filtered.append(tables[_closed(tables, [*range(lo, hi), 0])][:, :, lo:hi])
+        """Keep each block's unary survivors: the generators whose tables pass
+        the conjugation closure on L = {1} + the block, which are exactly the
+        leaves of generators.  A leaf g commutes with s = R_1^l and has
+        propagated every g R_v = R_(g(v)) g with v, g(v) in L: the closure at
+        u = n_i.  At u = 1 it follows from R_(lo+k-1) = R_1^k g R_1^-k and
+        g s = s g; at u = R_1^k(n_i) it is the case u = n_i conjugated by
+        R_1^k.  A propagation fault could change the counts but not admit a
+        wrong table: the tree's _closed decides every hit."""
+        self.filtered = [  # per block, the survivors' translations (K, n, l)
+            self.block_columns(level, self.generators(level))
+            for level in range(len(self.lengths) - 1)
+        ]
 
     def run(self):
-        """Depth-first over generator choices; returns (tables, counters)."""
-        counters = {"nodes": 0, "conj": 0, "dist": 0, "conn": 0}
-        found: list[np.ndarray] = []
+        """Depth-first over generator choices; returns (quandles, counters).
+        A leaf passes _closed on all labels, which is right distributivity, and
+        its columns are bijections fixing their own labels: it is a quandle by
+        construction, kept when connected."""
+        counters = {"nodes": 0, "conj": 0}
+        found: list[QuandleTable] = []
 
         def descend(level: int, table: np.ndarray):
             lo, hi = self.ns[level + 1], self.ns[level + 2]
@@ -284,28 +283,18 @@ class _Searcher:
             stack = np.repeat(table[None], len(blocks), axis=0)
             stack[:, :, lo:hi] = blocks
             for child in stack[_closed(stack, range(hi))]:
-                if hi == self.n:
-                    counters["conj"] += 1
-                    self._emit(child, counters, found)
-                else:
+                if hi < self.n:
                     descend(level + 1, child)
+                    continue
+                counters["conj"] += 1
+                q = QuandleTable._from_array(child)
+                if is_connected(q):
+                    found.append(q)
 
         root = np.zeros((self.n, self.n), dtype=np.int8)
         root[:, 0] = self.r1_pow[1]
         descend(0, root)
         return found, counters
-
-    def _emit(self, table, counters, found):
-        """Validate a full table that passed the closure and keep it if connected."""
-        result = validate_quandle(table + 1)
-        if not result.ok:
-            raise InvalidQuandleError(result)
-        q = QuandleTable._from_array(table)
-        counters["dist"] += 1
-        if not is_connected(q):
-            return
-        counters["conn"] += 1
-        found.append(q.array)
 
 
 def search_by_profile(
@@ -326,12 +315,11 @@ def search_by_profile(
     searcher = _Searcher(spec.lengths)
     searcher.prepare()
     found, totals = searcher.run()
-    found.sort(key=lambda table: table.tolist())
-    # every hit was validated once in _emit
-    quandles = tuple(QuandleTable._from_array(table) for table in found)
+    quandles = tuple(sorted(found, key=lambda q: q.array.tolist()))
     iso_classes: tuple[tuple[int, ...], ...] = ()
     if dedup:
-        groups = _group_isomorphic(quandles, range(len(quandles)))
+        types = [_cycle_lengths(q) for q in quandles]
+        groups = _group_isomorphic(quandles, types, range(len(quandles)))
         iso_classes = tuple(tuple(members) for members in groups.values())
 
     raw = (searcher.per_block,) * len(searcher.filtered)
@@ -341,16 +329,17 @@ def search_by_profile(
         per_generator_unary=tuple(map(len, searcher.filtered)),
         nodes_expanded=totals["nodes"],
         conjugation_pass=totals["conj"],
-        distributivity_pass=totals["dist"],
-        connected_pass=totals["conn"],
+        distributivity_pass=totals["conj"],
+        connected_pass=len(quandles),
         elapsed=time.perf_counter() - start_time,
     )
     return SearchResult(spec, quandles, iso_classes, stats)
 
 
 def prune_report(spec: SearchSpec, max_order: int | None = None) -> SearchStats:
-    """Run the search and report survivor counts per filter stage."""
-    return search_by_profile(spec, max_order).stats
+    """Run the search and report survivor counts per filter stage; the
+    isomorphism grouping is skipped, as no count depends on it."""
+    return search_by_profile(spec, max_order, dedup=False).stats
 
 
 def search_manifest(result: SearchResult, files: list[str] | None = None) -> dict:

@@ -89,9 +89,16 @@ def _cycle_lengths(q: QuandleTable, low: np.ndarray | None = None) -> list[tuple
 def profile(q: QuandleTable) -> Profile:
     """Profile of q: the sorted distinct cycle types of its translations,
     one per orbit of labels, and the connected form when there is one orbit."""
+    return _typed_profile(q)[1]
+
+
+def _typed_profile(q: QuandleTable) -> tuple[list[tuple[int, ...]], Profile]:
+    """The cycle types of q's columns (_cycle_lengths) and q's profile, from
+    one _orbit_minima and one cycle walk per orbit."""
     low = _orbit_minima(q.array)
-    structures = tuple(map(CycleStructure, sorted(set(_cycle_lengths(q, low)))))
-    return Profile(structures, None if low.any() else structures[0])
+    types = _cycle_lengths(q, low)
+    structures = tuple(map(CycleStructure, sorted(set(types))))
+    return types, Profile(structures, None if low.any() else structures[0])
 
 
 def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
@@ -221,9 +228,10 @@ def enumerate_subquandles(
     """All closed subsets, found orbit by orbit under Inn(Q) (_closed_orbits).
 
     Entries are sorted by (order, elements).  The members of an orbit are
-    isomorphic subquandles, so each orbit's subtable and profile are built
-    once, from its first entry, and only those first entries are grouped
-    into isomorphism classes.  iso_class is the first entry of the class.
+    isomorphic subquandles, so each orbit's subtable, cycle types and
+    profile are built once, from its first entry, and only those first
+    entries are grouped into isomorphism classes.  iso_class is the first
+    entry of the class.
     """
     cap = resolve_cap(max_order, DEFAULT_ENUM_CAP)
     if q.n > cap:
@@ -234,7 +242,7 @@ def enumerate_subquandles(
         for orbit in _closed_orbits(q.array)
     )
     subs = [subtable(q, orbit[0][1]) for orbit in orbits]
-    profiles = [profile(sub) for sub in subs]
+    types, profiles = zip(*map(_typed_profile, subs))
     listed = sorted((key, i) for i, orbit in enumerate(orbits) for key in orbit)
     index = {key: k for k, (key, _) in enumerate(listed)}
 
@@ -244,7 +252,7 @@ def enumerate_subquandles(
         buckets.setdefault((orbit[0][0], profiles[i].structures), []).append(i)
     iso_class: dict[int, int] = {}
     for members in buckets.values():
-        for rep, group in _group_isomorphic(subs, members).items():
+        for rep, group in _group_isomorphic(subs, types, members).items():
             iso_class.update(dict.fromkeys(group, index[orbits[rep][0]]))
     entries = tuple(
         SubquandleEntry(elems, order, profiles[i], iso_class[i])
@@ -253,14 +261,13 @@ def enumerate_subquandles(
     return SubquandleInventory(q.n, entries)
 
 
-def _group_isomorphic(tables, members) -> dict[int, list[int]]:
-    """Isomorphism classes of tables[i] for i in members, taken in order.
+def _group_isomorphic(tables, types, members) -> dict[int, list[int]]:
+    """Isomorphism classes of tables[i] for i in members, taken in order,
+    given the cycle types types[i] of each table's columns (_cycle_lengths).
 
     Maps the first member of each class to its members; every later table is
     compared with the class representatives in the order they were found.
-    Each table's cycle types are computed once.
     """
-    types = {i: _cycle_lengths(tables[i]) for i in members}
     classes: dict[int, list[int]] = {}
     for i in members:
         for rep, group in classes.items():

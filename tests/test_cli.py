@@ -418,6 +418,11 @@ class TestAdmissible:
         assert main(["admissible", "--profile", "2,4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_large_prime_refused(self, capsys):
+        # l_2 + 1 = 10**18 + 3 is prime; deciding it by trial division would hang
+        assert main(["admissible", "--profile", "1,1000000000000000002"]) == 2
+        assert "1000000000000000003 has no factor below" in capsys.readouterr().err
+
 
 class TestParser:
     def test_version(self, capsys):

@@ -2,10 +2,11 @@
 
 import math
 import random
+import time
 
 import pytest
 
-from quandlekit.errors import ParamOutOfRange
+from quandlekit.errors import ParamOutOfRange, SizeLimitExceeded
 from quandlekit.numth import euler_phi, factorize, is_prime, multiplicative_order, prime_power
 
 
@@ -48,6 +49,41 @@ def test_prime_power_detection():
                     expect = (p, a)
                     break
         assert got == expect, n
+
+
+def factorized_prime_power(n: int):
+    """prime_power by full factorization, the way it was computed before."""
+    facs = factorize(n) if n >= 2 else {}
+    return next(iter(facs.items())) if len(facs) == 1 else None
+
+
+def test_prime_power_matches_factorization():
+    for n in range(-2, 10**5):
+        assert prime_power(n) == factorized_prime_power(n), n
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (999983**2, (999983, 2)),  # the largest prime below 2**20, squared
+        (2**100, (2, 100)),
+        (10**27, None),
+        (2**40 - 87, (2**40 - 87, 1)),  # prime: no factor below 2**20 and n < 2**40
+        ((2**20 - 3) * (2**20 + 7), None),  # one factor below the bound
+    ],
+)
+def test_prime_power_large_inputs_stay_fast_and_exact(n, want):
+    start = time.perf_counter()
+    assert prime_power(n) == want
+    assert time.perf_counter() - start < 1
+
+
+def test_prime_power_refuses_a_large_prime_fast():
+    # 10**18 + 3 is prime: full trial division would take about 90 s
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match="no factor below"):
+        prime_power(10**18 + 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_euler_phi_matches_gcd_count():

@@ -21,6 +21,7 @@ from quandlekit import (
     search_by_profile,
     validate_quandle,
 )
+from quandlekit import core, search
 from quandlekit.limits import DEFAULT_SEARCH_CAP
 from quandlekit.search import _candidate_count, _Searcher
 from conftest import ACCEPTED_PROFILES, dihedral_quandle
@@ -154,12 +155,24 @@ class TestKnownProfiles:
         assert q94 in res.quandles
 
     def test_results_validate_and_match_profile(self):
-        for lengths in [(1, 2), (1, 3), (1, 4), (1, 2, 6)]:
-            res = search_by_profile(SearchSpec(lengths))
+        # the search checks no axiom of its own: every hit of every accepted
+        # profile is a connected quandle with the target profile
+        for lengths in ACCEPTED_PROFILES:
+            res = search_by_profile(SearchSpec(lengths), dedup=False)
             for q in res.quandles:
-                assert validate_quandle(q.rows).ok
-                assert is_connected(q)
+                assert validate_quandle(q.rows).ok, lengths
+                assert is_connected(q), lengths
                 assert profile(q).connected_form.lengths == lengths
+
+    def test_hits_are_not_validated(self, monkeypatch):
+        assert not hasattr(search, "validate_quandle")
+        calls = []
+        for module in (core, search):
+            monkeypatch.setattr(
+                module, "validate_quandle", lambda *a: calls.append(a), raising=False
+            )
+        assert len(search_by_profile(SearchSpec((1, 2, 6))).quandles) == 6
+        assert calls == []
 
     def test_results_are_canonical_shqs_when_applicable(self):
         from quandlekit import decomposition_of
@@ -254,11 +267,22 @@ class TestStats:
             "connectivity": conn,
         }
 
-    def test_conjugation_implies_distributivity(self):
-        # leaves that satisfy the conjugation closure always validate
-        for lengths in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 2, 6)]:
-            stats = search_by_profile(SearchSpec(lengths)).stats
-            assert stats.conjugation_pass == stats.distributivity_pass
+    def test_conjugation_implies_distributivity(self, monkeypatch):
+        # every leaf that satisfies the conjugation closure validates, whether
+        # or not it is kept as connected
+        leaves = []
+
+        def spy(q):
+            leaves.append(q)
+            return is_connected(q)
+
+        monkeypatch.setattr(search, "is_connected", spy)
+        for lengths in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 2, 6), (1, 10)]:
+            leaves.clear()
+            stats = search_by_profile(SearchSpec(lengths), dedup=False).stats
+            assert len(leaves) == stats.conjugation_pass == stats.distributivity_pass
+            for q in leaves:
+                assert validate_quandle(q.rows).ok, lengths
 
     def test_as_dict_has_no_timing(self):
         d = search_by_profile(SearchSpec((1, 2))).stats.as_dict()
@@ -279,6 +303,15 @@ class TestStats:
         a = prune_report(SearchSpec((1, 4)))
         b = search_by_profile(SearchSpec((1, 4))).stats
         assert a.as_dict() == b.as_dict()
+
+    def test_prune_report_skips_grouping(self, monkeypatch):
+        want = search_by_profile(SearchSpec((1, 2, 6))).stats.as_dict()
+
+        def no_grouping(*args):
+            raise AssertionError("prune_report grouped the hits")
+
+        monkeypatch.setattr(search, "_group_isomorphic", no_grouping)
+        assert prune_report(SearchSpec((1, 2, 6))).as_dict() == want
 
 
 class TestDeterminismAndWorkers:

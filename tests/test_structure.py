@@ -343,6 +343,35 @@ class TestEnumerationBackends:
         random.Random(p * a).shuffle(order)
         self.agree(relabel(q, Permutation(order)))
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: trivial_quandle(6), lambda: dihedral_quandle(6), lambda: shq_family(3, 3),
+         lambda: subfield_quandle(3, 3, 1)],
+        ids=["trivial6", "dihedral6", "family(3,3)", "gf27-over-gf3"],
+    )
+    def test_invariants_once_per_orbit(self, make, monkeypatch):
+        # one _orbit_minima call (and one cycle walk per orbit of labels) for
+        # each orbit representative's subtable, shared by its profile and the
+        # isomorphism grouping; _closed_orbits makes calls of its own
+        q = make()
+        want = reference_inventory(q)
+        orbits, seen = [], []
+        real_orbits, real_minima = structure._closed_orbits, structure._orbit_minima
+
+        def closed_orbits(tbl):
+            orbits.extend(real_orbits(tbl))
+            seen.clear()
+            return orbits
+
+        def minima(moves):
+            seen.append(moves.shape)
+            return real_minima(moves)
+
+        monkeypatch.setattr(structure, "_closed_orbits", closed_orbits)
+        monkeypatch.setattr(structure, "_orbit_minima", minima)
+        assert enumerate_subquandles(q) == want
+        assert sorted(seen) == sorted((int(o[0].sum()),) * 2 for o in orbits)
+
 
 class TestDerivedTableOracles:
     @settings(max_examples=40, deadline=None)
@@ -461,6 +490,8 @@ class TestGroupIsomorphic:
             rep = next((r for r in want if are_isomorphic(q, tables[r]) is not None), None)
             want.setdefault(i if rep is None else rep, []).append(i)
         assert want == {0: [0, 4, 6], 1: [1, 2], 3: [3, 5]}
+        # the cycle types come from the caller, and no invariant is recomputed
+        types = [structure._cycle_lengths(q) for q in tables]
         seen = []
         real = structure._orbit_minima
 
@@ -469,9 +500,8 @@ class TestGroupIsomorphic:
             return real(moves)
 
         monkeypatch.setattr(structure, "_orbit_minima", spy)
-        assert structure._group_isomorphic(tables, range(len(tables))) == want
-        assert len(seen) == len(tables)
-        assert [id(m) for m in seen] == [id(q.array) for q in tables]
+        assert structure._group_isomorphic(tables, types, range(len(tables))) == want
+        assert seen == []
 
 
 class TestTranslationConjugation:
