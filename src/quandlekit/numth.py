@@ -12,41 +12,40 @@ def is_prime(n: int) -> bool:
     return prime_power(n) == (n, 1)
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {prime: exponent} of n >= 1 by trial division."""
-    if n < 1:
-        raise ParamOutOfRange(f"cannot factorize {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 _TRIAL_BOUND = 1 << 20
 
 
-def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, a) with n = p**a if n is a prime power, else None.
+def _least_factor(n: int, start: int = 2) -> int:
+    """The least factor d >= start of n >= 2, which has none below start, by
+    trial division by d < 2**20 only: with no factor there, n < 2**40 is
+    prime, and a larger n raises SizeLimitExceeded, so the time is bounded."""
+    if n % 2 == 0:
+        return 2
+    p = next((d for d in range(start | 1, min(_TRIAL_BOUND, isqrt(n) + 1), 2) if n % d == 0), n)
+    if p == n and n >= _TRIAL_BOUND**2:
+        raise SizeLimitExceeded(f"{n} has no factor below {_TRIAL_BOUND}; too large to decide")
+    return p
 
-    Trial division runs only by d < 2**20, so the time is bounded for any n.
-    With a factor p found there, n is a prime power exactly when it is a
-    power of p; with none, n < 2**40 is prime.  A larger n with no factor
-    below 2**20 raises SizeLimitExceeded.
-    """
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {prime: exponent} of n >= 1, by _least_factor."""
+    if n < 1:
+        raise ParamOutOfRange(f"cannot factorize {n}")
+    out: dict[int, int] = {}
+    p = 2
+    while n > 1:
+        p = _least_factor(n, p)
+        while n % p == 0:
+            n, out[p] = n // p, out.get(p, 0) + 1
+    return out
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, a) with n = p**a if n is a prime power, else None: n is one
+    exactly when it is a power of its least factor p."""
     if n < 2:
         return None
-    p = next((d for d in range(2, min(_TRIAL_BOUND, isqrt(n) + 1)) if n % d == 0), n)
-    if p == n and n >= _TRIAL_BOUND**2:
-        raise SizeLimitExceeded(
-            f"{n} has no factor below {_TRIAL_BOUND}; cannot decide if it is a prime power"
-        )
-    a = 0
+    p, a = _least_factor(n), 0
     while n % p == 0:
         n, a = n // p, a + 1
     return (p, a) if n == 1 else None

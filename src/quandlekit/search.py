@@ -3,20 +3,15 @@
 Any connected quandle whose translations have pairwise distinct cycle lengths
 can be relabeled so that R_1 is the canonical block permutation and every
 other translation is a power-of-R_1 conjugate of one of the c-1 block
-generators R_(n_i).  The search therefore fixes R_1, finds each block's
-candidate generators (permutations with the target cycle structure fixing
-their own index), derives the remaining translations by conjugation, and
-keeps the tables that satisfy the conjugation closure and are connected.
-Such a table is a quandle by construction (see run) with the target
-profile, as its translations are all conjugate to the canonical R_1.  The
-survivors at each stage are reported for tuning.
-
-Permutations are 0-based integer arrays, the column form of QuandleTable.array:
-a block's generators come from a backtracking with propagation that never
-lists the candidate space, and its translations are gathers by powers of
-R_1.  One batched check, _closed, tests the conjugation closure on a stack of
-partial tables, each keeping R_u in column u; the depth-first tree calls it
-once per level, on the assigned prefix.
+generators R_(n_i).  The search fixes R_1 and walks a tree with one level per
+block: a node finds its block's generators under every relation its assigned
+columns give, by a backtracking that never lists the candidate space, and
+derives the block's translations as gathers by powers of R_1.  One batched
+check, _closed, tests the conjugation closure on the stack of children, each
+keeping R_u in column u.  A leaf is a quandle by construction (see run) with
+the target profile; the connected ones are the hits.  The backtracking nodes
+of a search are counted against _WORK_BOUND, and the work and survivors of
+each stage are reported.
 
 naive_connected_quandles is the independent reference for tiny orders: plain
 depth-first assignment of columns with direct axiom checks, sharing nothing
@@ -29,7 +24,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +35,12 @@ from .limits import DEFAULT_SEARCH_CAP, resolve_cap
 from .shq import _block_bounds, _canonical_r1, _label_block_lengths
 from .structure import _cycle_lengths, _group_isomorphic, is_connected
 
-# A profile with more candidate generators per block (permutations of the
-# target cycle type fixing n_i) is refused upfront.  The backtracking never
-# lists them, but nothing else bounds its work yet.
-_RAW_CANDIDATE_LIMIT = 1_000_000
+# A search that needs more backtracking nodes (calls of the generators'
+# branch, over all tree nodes) is refused; the count is deterministic.  Of
+# the distinct-length profiles of order <= 32, (1,19) needs 15,118 nodes
+# (7 s on a 2-vCPU machine) and (1,2,3,4,6,12) 20,078 (2.7 s); (1,20) to
+# (1,31), from 26,120 nodes up, are refused.
+_WORK_BOUND = 24_000
 
 
 @dataclass(frozen=True)
@@ -73,17 +70,17 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Survivor counts per filter stage, for tuning and regressions.
-    per_generator_raw is each block's candidate space, counted in closed form.
-    distributivity_pass is conjugation_pass: the closure on all labels is
-    right distributivity, so no leaf is checked again."""
+    """Work and survivor counts per stage, for tuning and regressions.
+    per_generator_raw is each block's candidate space in closed form.  Per
+    block, per_generator_nodes (backtracking nodes) and per_generator_unary
+    (generators found) are summed over that level's tree nodes."""
 
     raw_space: int
     per_generator_raw: tuple[int, ...]
+    per_generator_nodes: tuple[int, ...]
     per_generator_unary: tuple[int, ...]
     nodes_expanded: int
     conjugation_pass: int
-    distributivity_pass: int
     connected_pass: int
     elapsed: float
 
@@ -93,11 +90,10 @@ class SearchStats:
         return {
             "raw_space": self.raw_space,
             "per_generator_raw": list(self.per_generator_raw),
+            "per_generator_nodes": list(self.per_generator_nodes),
             "per_generator_unary": list(self.per_generator_unary),
             "nodes_expanded": self.nodes_expanded,
-            "fixed_point": self.raw_space,
             "conjugation": self.conjugation_pass,
-            "distributivity": self.distributivity_pass,
             "connectivity": self.connected_pass,
         }
 
@@ -111,16 +107,11 @@ class SearchResult:
 
 
 def _candidate_count(n: int, lengths) -> int:
-    """Permutations of cycle type `lengths` fixing one given label: closed form."""
-    remaining = n - 1
-    count = 1
-    for length in (x for x in lengths if x > 1):
-        count *= comb(remaining, length) * factorial(length - 1)
-        remaining -= length
-    return count
+    """Permutations of cycle type `lengths` fixing one given label: (n-1)!/prod(l)."""
+    return factorial(n - 1) // prod(x for x in lengths if x > 1)
 
 
-def _closed(tables: np.ndarray, labels) -> np.ndarray:
+def _closed(tables: np.ndarray, labels, new=None) -> np.ndarray:
     """Indices of the partial tables in a stack that satisfy the conjugation
     closure on `labels`.
 
@@ -131,20 +122,26 @@ def _closed(tables: np.ndarray, labels) -> np.ndarray:
     every y, which needs no inverse.  The pairs (u, v) are tested one at a
     time, u-major in the order of `labels`, each on the tables that passed
     the pairs before it, so a table is dropped at its first failing pair.
+    With `new` given, the tables are taken to pass the closure on the other
+    labels already, and only the pairs with u, v or v*u in `new` are tested.
     """
     labels = np.asarray(labels)
-    inside = np.zeros(tables.shape[1], dtype=bool)
+    inside, fresh = np.zeros((2, tables.shape[1]), dtype=bool)
     inside[labels] = True
+    fresh[labels if new is None else list(new)] = True
     keep = np.arange(len(tables))
     for u, v in itertools.product(labels, labels):
         if len(keep) == 0:
             break
+        v_u = tables[keep, v, u]  # (B,): v*u
+        test = inside[v_u] & (fresh[u] | fresh[v] | fresh[v_u])
+        if not test.any():
+            continue
         t = tables[keep]
         b = np.arange(len(t))[:, None]
-        v_u = t[:, v, u]  # (B,): v*u
         lhs = t[b, t[:, :, u], v_u[:, None]]  # (y*u)*(v*u)
         rhs = t[b, t[:, :, v], u]  # (y*v)*u
-        keep = keep[(lhs == rhs).all(axis=1) | ~inside[v_u]]
+        keep = keep[(lhs == rhs).all(axis=1) | ~test]
     return keep
 
 
@@ -152,12 +149,6 @@ class _Searcher:
     def __init__(self, lengths: tuple[int, ...]):
         self.lengths = lengths
         self.n = sum(lengths)
-        self.per_block = _candidate_count(self.n, lengths)
-        if self.per_block > _RAW_CANDIDATE_LIMIT:
-            raise SizeLimitExceeded(
-                f"profile {lengths} needs {self.per_block} candidate generators "
-                f"per block, beyond the supported {_RAW_CANDIDATE_LIMIT}"
-            )
         self.ns = (0,) + _block_bounds(lengths)
         r1 = _canonical_r1(lengths)
         self.r1_pow = {
@@ -165,6 +156,9 @@ class _Searcher:
             for k in range(-max(lengths), max(lengths) + 1)
         }
         self.block_len = np.array(_label_block_lengths(lengths))
+        self.work = [0] * (len(lengths) - 1)  # backtracking nodes per level
+        self.unary = [0] * (len(lengths) - 1)  # generators found per level
+        self.leaves = 0  # full tables that pass _closed
 
     def block_columns(self, level: int, gens: np.ndarray) -> np.ndarray:
         """The translations of block level + 2 for each generator g in gens,
@@ -176,29 +170,41 @@ class _Searcher:
             out[:, :, k - 1] = self.r1_pow[k][gens[:, self.r1_pow[-k]]]
         return out
 
-    def generators(self, level: int) -> np.ndarray:
-        """The unary survivors of block level + 2, as (K, n) int8 generators
-        g, by backtracking over the partial image of g.
+    def generators(self, level: int, table: np.ndarray) -> np.ndarray:
+        """The generators g of block level + 2 at a tree node whose columns
+        u < lo are R_u, as (K, n) int8 images, by backtracking.
 
-        g fixes n_i and no other label; the labels of L = {1} + the block are
-        branched on first.  Each choice is propagated to a fixpoint through
-        g(s y) = s g(y), s = R_1^l, and g(R_v(y)) = R_(g(v))(g(y)) for v, g(v)
-        in L (the closure at u = n_i), R_v = R_1^k g R_1^-k read through the
-        partial g.  A branch ends when g is not injective, breaks the lcm rule,
-        closes a cycle whose length is not an unused one of the profile, or
-        has an open path longer than every unused length.
+        g fixes n_i = hi - 1 only.  For assigned u != 1, w = R_u(n_i) gives
+        R_w = R_u g R_u^-1: with w assigned, g = R_u^-1 R_w R_u is forced;
+        with w = R_1^k(n_i) in the block, g commutes with h = R_1^-k R_u, as
+        with s = R_1^l.  Each value is propagated to a fixpoint through
+        g h = h g and g(R_v(y)) = R_(g(v))(g(y)) for v < n_i with g(v) < hi
+        (the closure at u = n_i), R_v in the block read as R_1^k g R_1^-k.
+        Branches go to label 1, the block, the other assigned labels, then
+        the rest.  A branch ends when g is not injective, breaks the lcm
+        rule, closes a cycle whose length is not an unused one of the
+        profile, or has an open path longer than every unused length.
         """
         n, lengths = self.n, self.lengths[1:]
         lo, hi = self.ns[level + 1], self.ns[level + 2]
         r = {k: self.r1_pow[k].tolist() for k in range(lo - hi, hi - lo + 1)}
-        s, blen = r[hi - lo], self.block_len.tolist()
+        blen = self.block_len.tolist()
         need = np.lcm(self.block_len, hi - lo).tolist()
-        labels = [0, *range(lo, hi - 1)]
-        in_l = [x == 0 or lo <= x < hi for x in range(n)]
+        cols = table.T[:lo].tolist()  # cols[u] = R_u
+        commute, forced = [r[hi - lo]], []
+        for u in range(1, lo):
+            w = cols[u][hi - 1]
+            if w < lo:  # g = R_u^-1 R_w R_u
+                ru, rw = cols[u], cols[w]
+                forced += [(y, ru.index(rw[ru[y]])) for y in range(n)]
+            elif w < hi:  # g commutes with R_1^-k R_u
+                commute.append([r[lo - 1 - w][x] for x in cols[u]])
 
-        def read(v, y, img):  # R_v(y) through the partial g, or -1; R_1 reads no g
-            t = img[r[lo - 1 - v][y]] if v else y
-            return r[v - lo + 1 if v else 1][t] if t >= 0 else -1
+        def read(v, y, img):  # R_v(y), through the partial g in the block, or -1
+            if v < lo:
+                return cols[v][y]
+            t = img[r[lo - 1 - v][y]]
+            return r[v - lo + 1][t] if t >= 0 else -1
 
         def propagate(img, inv, used, stack):  # the new closed lengths, or None
             while stack:
@@ -220,16 +226,17 @@ class _Searcher:
                         head, size = inv[head], size + 1
                     if all(x <= size or used >> x & 1 for x in lengths):
                         return None
-                stack.append((s[a], s[b]))
+                stack += [(h[a], h[b]) for h in commute]
                 # the instances (v, y) whose reads of g the new value completes
-                for v in labels:
+                for v in range(hi - 1):
                     w = img[v]
-                    if w < 0 or not in_l[w]:
+                    if w < 0 or w >= hi:
                         continue
                     if v == a:
                         ys = range(n)
                     else:  # y = a, and the y whose R_v(y) or R_w(g(y)) reads g at a
-                        ys = (a, r[v - lo + 1][a] if v else a, inv[r[w - lo + 1][a]] if w else -1)
+                        ys = (a, r[v - lo + 1][a] if v >= lo else -1,
+                              inv[r[w - lo + 1][a]] if w >= lo else -1)
                     for y in ys:
                         if y >= 0 and img[y] >= 0:
                             x, t = read(v, y, img), read(w, img[y], img)
@@ -237,10 +244,14 @@ class _Searcher:
                                 stack.append((x, t))
             return used
 
-        order = labels + [x for x in range(n) if not in_l[x]]
+        order = [0, *range(lo, hi - 1), *range(1, lo), *range(hi, n)]
         found = []
 
         def branch(img, inv, used):
+            self.work[level] += 1
+            if sum(self.work) > _WORK_BOUND:
+                msg = f"profile {self.lengths} needs more than {_WORK_BOUND} backtracking nodes"
+                raise SizeLimitExceeded(msg)
             x = next((x for x in order if img[x] < 0), None)
             if x is None:
                 return found.append(img)
@@ -251,42 +262,32 @@ class _Searcher:
                     branch(img2, inv2, used2)
 
         start = [x if x == hi - 1 else -1 for x in range(n)]
-        branch(start, start[:], 0)
+        inv = start[:]
+        used = propagate(start, inv, 0, forced)
+        if used is not None:
+            branch(start, inv, used)
+        self.unary[level] += len(found)
         return np.array(found, dtype=np.int8).reshape(-1, n)
 
-    def prepare(self):
-        """Keep each block's unary survivors: the generators whose tables pass
-        the conjugation closure on L = {1} + the block, which are exactly the
-        leaves of generators.  A leaf g commutes with s = R_1^l and has
-        propagated every g R_v = R_(g(v)) g with v, g(v) in L: the closure at
-        u = n_i.  At u = 1 it follows from R_(lo+k-1) = R_1^k g R_1^-k and
-        g s = s g; at u = R_1^k(n_i) it is the case u = n_i conjugated by
-        R_1^k.  A propagation fault could change the counts but not admit a
-        wrong table: the tree's _closed decides every hit."""
-        self.filtered = [  # per block, the survivors' translations (K, n, l)
-            self.block_columns(level, self.generators(level))
-            for level in range(len(self.lengths) - 1)
-        ]
-
     def run(self):
-        """Depth-first over generator choices; returns (quandles, counters).
-        A leaf passes _closed on all labels, which is right distributivity, and
-        its columns are bijections fixing their own labels: it is a quandle by
-        construction, kept when connected."""
-        counters = {"nodes": 0, "conj": 0}
+        """Depth-first over generator choices; returns the hits.  A child is
+        kept when it passes _closed on the pairs its block adds, so a leaf
+        passes the closure on all labels, which is right distributivity, and
+        its columns are bijections fixing their own labels: it is a quandle
+        by construction, kept when connected.  Pruning in generators changes
+        only the counts."""
         found: list[QuandleTable] = []
 
         def descend(level: int, table: np.ndarray):
             lo, hi = self.ns[level + 1], self.ns[level + 2]
-            blocks = self.filtered[level]
-            counters["nodes"] += len(blocks)
+            blocks = self.block_columns(level, self.generators(level, table))
             stack = np.repeat(table[None], len(blocks), axis=0)
             stack[:, :, lo:hi] = blocks
-            for child in stack[_closed(stack, range(hi))]:
+            for child in stack[_closed(stack, range(hi), range(lo, hi))]:
                 if hi < self.n:
                     descend(level + 1, child)
                     continue
-                counters["conj"] += 1
+                self.leaves += 1
                 q = QuandleTable._from_array(child)
                 if is_connected(q):
                     found.append(q)
@@ -294,7 +295,7 @@ class _Searcher:
         root = np.zeros((self.n, self.n), dtype=np.int8)
         root[:, 0] = self.r1_pow[1]
         descend(0, root)
-        return found, counters
+        return found
 
 
 def search_by_profile(
@@ -313,8 +314,7 @@ def search_by_profile(
         raise SizeLimitExceeded(f"order {spec.order} exceeds search cap {cap}")
     start_time = time.perf_counter()
     searcher = _Searcher(spec.lengths)
-    searcher.prepare()
-    found, totals = searcher.run()
+    found = searcher.run()
     quandles = tuple(sorted(found, key=lambda q: q.array.tolist()))
     iso_classes: tuple[tuple[int, ...], ...] = ()
     if dedup:
@@ -322,14 +322,14 @@ def search_by_profile(
         groups = _group_isomorphic(quandles, types, range(len(quandles)))
         iso_classes = tuple(tuple(members) for members in groups.values())
 
-    raw = (searcher.per_block,) * len(searcher.filtered)
+    raw = (_candidate_count(spec.order, spec.lengths),) * (len(spec.lengths) - 1)
     stats = SearchStats(
         raw_space=prod(raw),
         per_generator_raw=raw,
-        per_generator_unary=tuple(map(len, searcher.filtered)),
-        nodes_expanded=totals["nodes"],
-        conjugation_pass=totals["conj"],
-        distributivity_pass=totals["conj"],
+        per_generator_nodes=tuple(searcher.work),
+        per_generator_unary=tuple(searcher.unary),
+        nodes_expanded=sum(searcher.unary),
+        conjugation_pass=searcher.leaves,
         connected_pass=len(quandles),
         elapsed=time.perf_counter() - start_time,
     )
@@ -343,9 +343,9 @@ def prune_report(spec: SearchSpec, max_order: int | None = None) -> SearchStats:
 
 
 def search_manifest(result: SearchResult, files: list[str] | None = None) -> dict:
-    """The quandlekit.search/1 report; `files` is listed when tables were saved."""
+    """The quandlekit.search/2 report; `files` is listed when tables were saved."""
     manifest = {
-        "schema": "quandlekit.search/1",
+        "schema": "quandlekit.search/2",
         "profile": list(result.spec.lengths),
         "order": result.spec.order,
         "count": len(result.quandles),

@@ -320,11 +320,11 @@ class TestSearch:
     def test_json_manifest(self, capsys):
         assert main(["search", "--profile", "1,2,6", "--dedup", "--json"]) == 0
         manifest = json.loads(capsys.readouterr().out)
-        assert manifest["schema"] == "quandlekit.search/1"
+        assert manifest["schema"] == "quandlekit.search/2"
         assert manifest["profile"] == [1, 2, 6]
         assert manifest["count"] == 6
         assert manifest["iso_classes"] == [[0, 1], [2, 3], [4, 5]]
-        assert manifest["stats"]["nodes_expanded"] == 27
+        assert manifest["stats"]["nodes_expanded"] == 9
 
     def test_no_workers_option(self, capsys):
         # the search runs in one process; --workers is a usage error
@@ -371,15 +371,25 @@ class TestSearch:
         assert "comma-separated integers" in capsys.readouterr().err
 
     def test_pinned_1_2_8_manifest(self, capsys):
-        # the sha256 of the report the recursive candidate enumeration gave
+        # the sha256 of the search/2 report; the recursive candidate
+        # enumeration gave the same profile, order, count and classes
         assert main(["search", "--profile", "1,2,8", "--dedup", "--json"]) == 0
         out = capsys.readouterr().out
         manifest = json.loads(out)
         assert manifest["count"] == 0
-        assert manifest["stats"]["per_generator_unary"] == [1, 2]
+        assert manifest["stats"]["per_generator_unary"] == [1, 0]
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "cb6a6c387b362a121514c1338a9da8c450015b448d80ef522bb0753584faebc8"
+            "ffec749c2be25151e30d513245a7b08d476d5aafa5143be7523dc2f5bc40ff78"
         )
+
+    def test_work_bound_exits_2(self, capsys, monkeypatch):
+        from quandlekit import search
+
+        monkeypatch.setattr(search, "_WORK_BOUND", 125)  # (1,10) needs 126
+        assert main(["search", "--profile", "1,10", "--dedup", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 125 backtracking nodes" in captured.err
 
 
 class TestAdmissible:

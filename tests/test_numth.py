@@ -110,3 +110,45 @@ def test_multiplicative_order_matches_brute_force():
 def test_multiplicative_order_rejects_non_units():
     with pytest.raises(ParamOutOfRange):
         multiplicative_order(2, 4)
+
+
+def unbounded_factorize(n: int) -> dict[int, int]:
+    """factorize as it was before its trial-division bound: every d <= sqrt(n)."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_unbounded_trial_division():
+    for n in range(1, 10**5):
+        assert factorize(n) == unbounded_factorize(n), n
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (999983**2, {999983: 2}),
+        (2**40 - 87, {2**40 - 87: 1}),  # prime: no factor below 2**20 and n < 2**40
+        ((2**20 - 3) * (2**20 + 7), {2**20 - 3: 1, 2**20 + 7: 1}),
+        (3 * (2**40 - 87), {3: 1, 2**40 - 87: 1}),
+    ],
+)
+def test_factorize_large_inputs_stay_fast_and_exact(n, want):
+    start = time.perf_counter()
+    assert factorize(n) == want
+    assert time.perf_counter() - start < 1
+
+
+def test_multiplicative_order_refuses_a_large_prime_modulus_fast():
+    # 10**18 + 3 is prime: euler_phi would trial-divide it for minutes
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match="no factor below"):
+        multiplicative_order(2, 10**18 + 3)
+    assert time.perf_counter() - start < 1

@@ -1,6 +1,7 @@
 """Canonical-form search, its statistics, and the naive reference search."""
 
 import json
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,13 +20,43 @@ from quandlekit import (
     prune_report,
     save_search_result,
     search_by_profile,
+    shq_family,
     validate_quandle,
 )
 from quandlekit import core, search
 from quandlekit.limits import DEFAULT_SEARCH_CAP
 from quandlekit.search import _candidate_count, _Searcher
 from conftest import ACCEPTED_PROFILES, dihedral_quandle
-from test_table_oracles import cycle_candidates
+from test_table_oracles import cycle_candidates, prepared
+
+# (per_generator_nodes, per_generator_unary, nodes_expanded) of the node-wise
+# search, for the 24 profiles the per-block candidate limit accepted
+NODE_STATS = {
+    (1, 2): ([3], [1], 1),
+    (1, 3): ([4], [1], 1),
+    (1, 4): ([8], [2], 2),
+    (1, 2, 3): ([4, 1], [1, 0], 1),
+    (1, 5): ([9], [0], 0),
+    (1, 2, 4): ([4, 1], [1, 0], 1),
+    (1, 6): ([16], [2], 2),
+    (1, 2, 5): ([4, 1], [1, 0], 1),
+    (1, 3, 4): ([5, 1], [1, 0], 1),
+    (1, 7): ([26], [2], 2),
+    (1, 2, 6): ([6, 15], [3, 6], 9),
+    (1, 3, 5): ([5, 1], [1, 0], 1),
+    (1, 8): ([45], [2], 2),
+    (1, 2, 3, 4): ([5, 1, 0], [1, 0, 0], 1),
+    (1, 2, 7): ([4, 1], [1, 0], 1),
+    (1, 3, 6): ([10, 4], [4, 0], 4),
+    (1, 4, 5): ([10, 2], [2, 0], 2),
+    (1, 9): ([67], [0], 0),
+    (1, 2, 3, 5): ([5, 1, 0], [1, 0, 0], 1),
+    (1, 2, 8): ([4, 1], [1, 0], 1),
+    (1, 3, 7): ([5, 1], [1, 0], 1),
+    (1, 4, 6): ([10, 2], [2, 0], 2),
+    (1, 10): ([126], [4], 4),
+    (1, 2, 4, 5): ([5, 1, 0], [1, 0, 0], 1),
+}
 
 
 class TestSearchSpec:
@@ -68,15 +99,11 @@ class TestCandidateCount:
             assert img[2] == 2
             assert sum(1 for i, v in enumerate(img) if i == v) == 1
 
-    def test_infeasible_profile_refused_upfront(self):
-        with pytest.raises(SizeLimitExceeded, match="candidate"):
-            search_by_profile(SearchSpec((1, 2, 6, 18)))
-
     def test_accepted_profiles_are_pinned(self, monkeypatch):
-        # Of the 1,277 distinct-length profiles within the default search cap,
-        # the per-block candidate limit lets exactly these 24 through; every
-        # other one is refused when the searcher is built, before any
-        # generator is looked for.
+        # No profile within the default search cap is refused when the
+        # searcher is built, before any generator is looked for: the work
+        # bound decides, as the search goes.  The 24 profiles the per-block
+        # candidate limit let through each use under 1% of it.
         def tails(budget, lo):
             for x in range(lo, budget + 1):
                 yield (x,)
@@ -86,20 +113,37 @@ class TestCandidateCount:
         def no_candidates(*args):
             raise AssertionError(f"generators looked for at {args}")
 
-        monkeypatch.setattr(_Searcher, "generators", no_candidates)
         profiles = sorted(
             ((1, *rest) for rest in tails(DEFAULT_SEARCH_CAP - 1, 2)),
             key=lambda lengths: (sum(lengths), lengths),
         )
-        accepted = []
-        for lengths in profiles:
-            try:
+        with monkeypatch.context() as m:
+            m.setattr(_Searcher, "generators", no_candidates)
+            for lengths in profiles:
                 _Searcher(lengths)
-            except SizeLimitExceeded:
-                continue
-            accepted.append(lengths)
         assert len(profiles) == 1277
-        assert accepted == ACCEPTED_PROFILES
+        for lengths in ACCEPTED_PROFILES:
+            stats = prune_report(SearchSpec(lengths))
+            assert sum(stats.per_generator_nodes) < search._WORK_BOUND // 100, lengths
+
+
+class TestWorkBound:
+    def test_profile_past_the_bound_refused(self, monkeypatch):
+        # (1,10) needs 126 backtracking nodes, every run
+        runs = [prune_report(SearchSpec((1, 10))).per_generator_nodes for _ in range(2)]
+        assert runs == [(126,), (126,)]
+        monkeypatch.setattr(search, "_WORK_BOUND", 126)
+        assert len(search_by_profile(SearchSpec((1, 10))).quandles) == 4
+        monkeypatch.setattr(search, "_WORK_BOUND", 125)
+        with pytest.raises(SizeLimitExceeded, match="more than 125 backtracking nodes"):
+            search_by_profile(SearchSpec((1, 10)))
+
+    def test_nodes_count_over_the_whole_tree(self, monkeypatch):
+        # (1,2,6) needs 6 nodes at the root and 15 over the 3 nodes below it
+        assert prune_report(SearchSpec((1, 2, 6))).per_generator_nodes == (6, 15)
+        monkeypatch.setattr(search, "_WORK_BOUND", 20)
+        with pytest.raises(SizeLimitExceeded):
+            search_by_profile(SearchSpec((1, 2, 6)))
 
 
 class TestKnownProfiles:
@@ -183,45 +227,95 @@ class TestKnownProfiles:
             assert classify_shq(q) is not None
 
 
+class TestSettledProfiles:
+    """Profiles the per-block candidate limit refused and the node-wise
+    search settles."""
+
+    def test_1_3_12_is_empty(self):
+        res = search_by_profile(SearchSpec((1, 3, 12)))
+        assert res.quandles == () and res.iso_classes == ()
+
+    def test_1_2_3_6_forced_generators(self):
+        # at the third block, some assigned u has R_u(n_i) assigned, which
+        # forces the generator: 6 backtracking nodes there, not 78
+        res = search_by_profile(SearchSpec((1, 2, 3, 6)))
+        assert len(res.quandles) == 6 and len(res.iso_classes) == 1
+        assert res.stats.per_generator_nodes == (19, 159, 6)
+
+    def test_1_4_20_has_ten_classes(self):
+        res = search_by_profile(SearchSpec((1, 4, 20)))
+        assert len(res.quandles) == 40
+        assert len(res.iso_classes) == 10
+        target = shq_family(5, 3)
+        matches = [
+            c for c in res.iso_classes if are_isomorphic(res.quandles[c[0]], target) is not None
+        ]
+        assert len(matches) == 1
+
+    def test_1_2_6_18_hits(self):
+        # the isomorphism grouping of these hits takes about 16 s, so it is
+        # left to the CI smoke test (12 classes)
+        res = search_by_profile(SearchSpec((1, 2, 6, 18)), dedup=False)
+        assert len(res.quandles) == 144
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_two_lengths_match_vendramin(self, m):
+        # A connected quandle of order n = m + 1 with profile (1, m) is affine
+        # over GF(p^k) with a primitive multiplier, so there are phi(m) / k
+        # classes when n = p^k and none otherwise (Vendramin, Doubly
+        # transitive groups and cyclic quandles, J. Math. Soc. Japan 69, 2017).
+        n = m + 1
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        phi = sum(1 for x in range(1, m + 1) if gcd(x, m) == 1)
+        want = phi // k if n == 1 else 0
+        res = search_by_profile(SearchSpec((1, m)))
+        assert len(res.iso_classes) == want
+
+
 class TestStats:
     def test_golden_filter_funnel(self):
         stats = search_by_profile(SearchSpec((1, 2, 6))).stats
         assert stats.raw_space == 3360 * 3360
         assert stats.per_generator_raw == (3360, 3360)
-        assert stats.per_generator_unary == (3, 8)
-        assert stats.nodes_expanded == 27
+        assert stats.per_generator_nodes == (6, 15)
+        assert stats.per_generator_unary == (3, 6)
+        assert stats.nodes_expanded == 9
         assert stats.conjugation_pass == 6
-        assert stats.distributivity_pass == 6
         assert stats.connected_pass == 6
         assert stats.elapsed > 0
 
-    # read before the search moved from permutation tuples to integer arrays
+    # (raw_space, per_generator_raw, per_generator_nodes, per_generator_unary,
+    # nodes_expanded, hits) of the node-wise search
     @pytest.mark.parametrize(
         "lengths, pinned",
         [
-            ((1, 2, 4), (8100, [90, 90], [1, 2], 3, 0)),
-            ((1, 3, 6), (406425600, [20160, 20160], [4, 2], 12, 0)),
-            ((1, 7), (720, [720], [2], 2, 2)),
-            ((1, 8), (5040, [5040], [2], 2, 2)),
-            ((1, 9), (40320, [40320], [0], 0, 0)),
+            ((1, 2, 4), (8100, [90, 90], [4, 1], [1, 0], 1, 0)),
+            ((1, 3, 6), (406425600, [20160, 20160], [10, 4], [4, 0], 4, 0)),
+            ((1, 7), (720, [720], [26], [2], 2, 2)),
+            ((1, 8), (5040, [5040], [45], [2], 2, 2)),
+            ((1, 9), (40320, [40320], [67], [0], 0, 0)),
         ],
     )
     def test_pinned_filter_funnels(self, lengths, pinned):
-        raw_space, raw, unary, nodes, hits = pinned
+        raw_space, raw, work, unary, nodes, hits = pinned
         assert search_by_profile(SearchSpec(lengths)).stats.as_dict() == {
             "raw_space": raw_space,
             "per_generator_raw": raw,
+            "per_generator_nodes": work,
             "per_generator_unary": unary,
             "nodes_expanded": nodes,
-            "fixed_point": raw_space,
             "conjugation": hits,
-            "distributivity": hits,
             "connectivity": hits,
         }
 
     # read from the search that unranked every candidate generator and
-    # filtered it: (per_generator_unary, nodes_expanded, conjugation,
-    # distributivity, connectivity)
+    # filtered it, whose per-level funnel the level-wise oracle still gives:
+    # (per_generator_unary, nodes_expanded, conjugation, distributivity,
+    # connectivity); distributivity was conjugation, and search/2 drops it.
+    # The node-wise search finds the same hits with NODE_STATS.
     @pytest.mark.parametrize(
         "lengths, pinned",
         [
@@ -254,16 +348,20 @@ class TestStats:
     )
     def test_accepted_profiles_pinned_stats(self, lengths, pinned):
         unary, nodes, conj, dist, conn = pinned
+        oracle = prepared(lengths)
+        assert [len(blocks) for blocks in oracle.filtered] == unary
+        assert oracle.run()[1] == nodes
+        assert dist == conj
+        work, node_unary, expanded = NODE_STATS[lengths]
         stats = search_by_profile(SearchSpec(lengths)).stats.as_dict()
         raw = _candidate_count(sum(lengths), lengths)
         assert stats == {
             "raw_space": raw ** (len(lengths) - 1),
             "per_generator_raw": [raw] * (len(lengths) - 1),
-            "per_generator_unary": unary,
-            "nodes_expanded": nodes,
-            "fixed_point": raw ** (len(lengths) - 1),
+            "per_generator_nodes": work,
+            "per_generator_unary": node_unary,
+            "nodes_expanded": expanded,
             "conjugation": conj,
-            "distributivity": dist,
             "connectivity": conn,
         }
 
@@ -280,22 +378,20 @@ class TestStats:
         for lengths in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 2, 6), (1, 10)]:
             leaves.clear()
             stats = search_by_profile(SearchSpec(lengths), dedup=False).stats
-            assert len(leaves) == stats.conjugation_pass == stats.distributivity_pass
+            assert len(leaves) == stats.conjugation_pass
             for q in leaves:
                 assert validate_quandle(q.rows).ok, lengths
 
     def test_as_dict_has_no_timing(self):
         d = search_by_profile(SearchSpec((1, 2))).stats.as_dict()
         assert "elapsed" not in d
-        assert d["fixed_point"] == d["raw_space"]
         assert set(d) == {
             "raw_space",
             "per_generator_raw",
+            "per_generator_nodes",
             "per_generator_unary",
             "nodes_expanded",
-            "fixed_point",
             "conjugation",
-            "distributivity",
             "connectivity",
         }
 
@@ -352,7 +448,7 @@ class TestSaveSearchResult:
         assert files == ["manifest.json"] + [f"q{i:03d}.qdl" for i in range(6)]
         on_disk = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert on_disk == manifest
-        assert manifest["schema"] == "quandlekit.search/1"
+        assert manifest["schema"] == "quandlekit.search/2"
         assert manifest["profile"] == [1, 2, 6]
         assert manifest["order"] == 9
         assert manifest["count"] == 6

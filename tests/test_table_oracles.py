@@ -681,9 +681,130 @@ class TestArrayFormsMatchReference:
         assert outcome(from_translations, perms) == outcome(reference_from_translations, perms)
 
 
+class LevelSearcher(_Searcher):
+    """The search as it ran before each tree node found its own generators.
+
+    generators(level) sees only R_1 and its own block, prepare keeps each
+    block's unary survivors once, and run combines them depth-first, with
+    _closed on all the labels of each prefix.  It is the oracle for the
+    node-wise generators and hits of _Searcher.
+    """
+
+    def generators(self, level: int) -> np.ndarray:
+        """The unary survivors of block level + 2, as (K, n) int8 generators
+        g, by backtracking over the partial image of g.
+
+        g fixes n_i and no other label; the labels of L = {1} + the block are
+        branched on first.  Each choice is propagated to a fixpoint through
+        g(s y) = s g(y), s = R_1^l, and g(R_v(y)) = R_(g(v))(g(y)) for v, g(v)
+        in L (the closure at u = n_i), R_v = R_1^k g R_1^-k read through the
+        partial g.  A branch ends when g is not injective, breaks the lcm rule,
+        closes a cycle whose length is not an unused one of the profile, or
+        has an open path longer than every unused length.
+        """
+        n, lengths = self.n, self.lengths[1:]
+        lo, hi = self.ns[level + 1], self.ns[level + 2]
+        r = {k: self.r1_pow[k].tolist() for k in range(lo - hi, hi - lo + 1)}
+        s, blen = r[hi - lo], self.block_len.tolist()
+        need = np.lcm(self.block_len, hi - lo).tolist()
+        labels = [0, *range(lo, hi - 1)]
+        in_l = [x == 0 or lo <= x < hi for x in range(n)]
+
+        def read(v, y, img):  # R_v(y) through the partial g, or -1; R_1 reads no g
+            t = img[r[lo - 1 - v][y]] if v else y
+            return r[v - lo + 1 if v else 1][t] if t >= 0 else -1
+
+        def propagate(img, inv, used, stack):  # the new closed lengths, or None
+            while stack:
+                a, b = stack.pop()
+                if img[a] == b:
+                    continue
+                if img[a] >= 0 or inv[b] >= 0 or a == b or need[a] % blen[b]:
+                    return None
+                img[a], inv[b] = b, a
+                head, tail, size = a, b, 1
+                while tail != a and img[tail] >= 0:
+                    tail, size = img[tail], size + 1
+                if tail == a:  # a cycle of `size` closed
+                    if size not in lengths or used >> size & 1:
+                        return None
+                    used |= 1 << size
+                else:  # an open path of size + 1 labels and more before a
+                    while inv[head] >= 0:
+                        head, size = inv[head], size + 1
+                    if all(x <= size or used >> x & 1 for x in lengths):
+                        return None
+                stack.append((s[a], s[b]))
+                # the instances (v, y) whose reads of g the new value completes
+                for v in labels:
+                    w = img[v]
+                    if w < 0 or not in_l[w]:
+                        continue
+                    if v == a:
+                        ys = range(n)
+                    else:  # y = a, and the y whose R_v(y) or R_w(g(y)) reads g at a
+                        ys = (a, r[v - lo + 1][a] if v else a, inv[r[w - lo + 1][a]] if w else -1)
+                    for y in ys:
+                        if y >= 0 and img[y] >= 0:
+                            x, t = read(v, y, img), read(w, img[y], img)
+                            if x >= 0 and t >= 0:
+                                stack.append((x, t))
+            return used
+
+        order = labels + [x for x in range(n) if not in_l[x]]
+        found = []
+
+        def branch(img, inv, used):
+            x = next((x for x in order if img[x] < 0), None)
+            if x is None:
+                return found.append(img)
+            for v in range(n):
+                img2, inv2 = img[:], inv[:]
+                used2 = propagate(img2, inv2, used, [(x, v)])
+                if used2 is not None:
+                    branch(img2, inv2, used2)
+
+        start = [x if x == hi - 1 else -1 for x in range(n)]
+        branch(start, start[:], 0)
+        return np.array(found, dtype=np.int8).reshape(-1, n)
+
+    def prepare(self):
+        """Keep each block's unary survivors: the generators whose tables pass
+        the conjugation closure on L = {1} + the block, which are exactly the
+        leaves of generators."""
+        self.filtered = [  # per block, the survivors' translations (K, n, l)
+            self.block_columns(level, self.generators(level))
+            for level in range(len(self.lengths) - 1)
+        ]
+
+    def run(self):
+        """Depth-first over the unary survivors; returns (quandles, tables
+        checked)."""
+        checked = 0
+        found: list[QuandleTable] = []
+
+        def descend(level: int, table: np.ndarray):
+            nonlocal checked
+            lo, hi = self.ns[level + 1], self.ns[level + 2]
+            blocks = self.filtered[level]
+            checked += len(blocks)
+            stack = np.repeat(table[None], len(blocks), axis=0)
+            stack[:, :, lo:hi] = blocks
+            for child in stack[_closed(stack, range(hi))]:
+                if hi < self.n:
+                    descend(level + 1, child)
+                elif is_connected(q := QuandleTable._from_array(child)):
+                    found.append(q)
+
+        root = np.zeros((self.n, self.n), dtype=np.int8)
+        root[:, 0] = self.r1_pow[1]
+        descend(0, root)
+        return found, checked
+
+
 @lru_cache(maxsize=None)
-def prepared(lengths) -> _Searcher:
-    searcher = _Searcher(lengths)
+def prepared(lengths) -> LevelSearcher:
+    searcher = LevelSearcher(lengths)
     searcher.prepare()
     return searcher
 
@@ -754,6 +875,76 @@ class TestSearchClosure:
         stack, labels = case
         want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
         assert _closed(stack, labels).tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(closure_stacks(), st.integers(1, 10))
+    @example(outside_pairs_case(), 1)
+    def test_new_pairs_complete_the_earlier_check(self, case, cut):
+        """Labels split into earlier ones and new ones: the closure on the
+        earlier labels plus the pairs with u, v or v*u new is the closure on
+        all labels, as the search tree checks it one block at a time."""
+        stack, labels = case
+        old, new = labels[:cut], labels[cut:]
+        want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
+        got = set(_closed(stack, old).tolist()) & set(_closed(stack, labels, new).tolist())
+        assert sorted(got) == want
+
+
+class NodeRecorder(_Searcher):
+    """The search, keeping (level, table, generators) of each tree node."""
+
+    def __init__(self, lengths):
+        super().__init__(lengths)
+        self.nodes = []
+
+    def generators(self, level, table):
+        gens = super().generators(level, table)
+        self.nodes.append((level, table.copy(), gens))
+        return gens
+
+
+def closure_on_pairs(table: np.ndarray, pairs, hi: int) -> bool:
+    """R_(v*u) = R_u R_v R_u^-1 for the pairs (u, v) with v*u below hi."""
+    for u, v in pairs:
+        w = table[v, u]
+        if w < hi and not (table[table[:, u], w] == table[table[:, v], u]).all():
+            return False
+    return True
+
+
+class TestNodeGenerators:
+    # (1,2,3,6) is the smallest profile with an assigned u whose R_u(n_i) is
+    # assigned, forcing a generator
+    @pytest.mark.parametrize("lengths", [*ACCEPTED_PROFILES, (1, 2, 3, 6)], ids=str)
+    def test_node_generators_match_level_oracle(self, lengths):
+        """At every tree node, the generators are the level's unary survivors
+        whose child table passes the closure on the pairs the assigned columns
+        give with n_i: (n_i, v) for v < hi and (u, n_i) for u < lo.  So they
+        are a subset of the survivors, the root's are all of them (which
+        TestUnarySurvivors pins to reference_unary_survivors), and none is
+        lost whose child passes _closed on all its labels.  The hits are the
+        oracle's."""
+        oracle = prepared(lengths)
+        search = NodeRecorder(lengths)
+        hits = search.run()
+        want, _ = oracle.run()
+        assert sorted(q.rows for q in hits) == sorted(q.rows for q in want)
+        assert search.nodes
+        for level, table, gens in search.nodes:
+            lo, hi = search.ns[level + 1], search.ns[level + 2]
+            got = list(map(bytes, search.block_columns(level, gens)))
+            assert len(set(got)) == len(got), level
+            ref = oracle.filtered[level]
+            children = np.repeat(table[None], len(ref), axis=0)
+            children[:, :, lo:hi] = ref
+            pairs = [(hi - 1, v) for v in range(hi)] + [(u, hi - 1) for u in range(lo)]
+            exact = {bytes(b) for b, t in zip(ref, children) if closure_on_pairs(t, pairs, hi)}
+            closed = set(map(bytes, ref[_closed(children, range(hi))]))
+            assert set(got) <= set(map(bytes, ref)), level
+            assert closed <= set(got), level
+            assert set(got) == exact, level
+            if level == 0:
+                assert sorted(got) == sorted(map(bytes, ref))
 
 
 class TestUnarySurvivors:
