@@ -119,29 +119,33 @@ def _closed(tables: np.ndarray, labels, new=None) -> np.ndarray:
     every u in labels; no other column is read as a translation.  Table b is
     kept when R_(v*u) = R_u R_v R_u^-1 for all u, v in labels with v*u in
     labels.  The relation is compared pointwise as (y*u)*(v*u) = (y*v)*u for
-    every y, which needs no inverse.  The pairs (u, v) are tested one at a
-    time, u-major in the order of `labels`, each on the tables that passed
-    the pairs before it, so a table is dropped at its first failing pair.
-    With `new` given, the tables are taken to pass the closure on the other
-    labels already, and only the pairs with u, v or v*u in `new` are tested.
+    every y, which needs no inverse.  The labels u are taken one at a time,
+    in the order of `labels`, and every v for one u is tested in one gather
+    on the tables that passed the u before it, so a table is dropped at its
+    first failing u.  With `new` given, the tables are taken to pass the
+    closure on the other labels already, and only the pairs with u, v or v*u
+    in `new` are tested.
     """
     labels = np.asarray(labels)
     inside, fresh = np.zeros((2, tables.shape[1]), dtype=bool)
     inside[labels] = True
     fresh[labels if new is None else list(new)] = True
     keep = np.arange(len(tables))
-    for u, v in itertools.product(labels, labels):
+    t = tables
+    for u in labels:
         if len(keep) == 0:
             break
-        v_u = tables[keep, v, u]  # (B,): v*u
-        test = inside[v_u] & (fresh[u] | fresh[v] | fresh[v_u])
-        if not test.any():
+        v_u = t[:, labels, u]  # (B, V): v*u for v in labels
+        test = inside[v_u] & (fresh[u] | fresh[labels] | fresh[v_u])
+        cols = test.any(axis=0)
+        if not cols.any():
             continue
-        t = tables[keep]
-        b = np.arange(len(t))[:, None]
-        lhs = t[b, t[:, :, u], v_u[:, None]]  # (y*u)*(v*u)
-        rhs = t[b, t[:, :, v], u]  # (y*v)*u
-        keep = keep[(lhs == rhs).all(axis=1) | ~test]
+        v_u, test = v_u[:, cols], test[:, cols]
+        b = np.arange(len(t))[:, None, None]
+        lhs = t[b, t[:, :, u, None], v_u[:, None]]  # (B, n, V): (y*u)*(v*u)
+        rhs = t[b, t[:, :, labels[cols]], u]  # (B, n, V): (y*v)*u
+        ok = ((lhs == rhs) | ~test[:, None]).all(axis=(1, 2))
+        keep, t = keep[ok], t[ok]
     return keep
 
 
@@ -200,11 +204,9 @@ class _Searcher:
             elif w < hi:  # g commutes with R_1^-k R_u
                 commute.append([r[lo - 1 - w][x] for x in cols[u]])
 
-        def read(v, y, img):  # R_v(y), through the partial g in the block, or -1
-            if v < lo:
-                return cols[v][y]
-            t = img[r[lo - 1 - v][y]]
-            return r[v - lo + 1][t] if t >= 0 else -1
+        # R_v = through[v] for v < hi: (R_v, None) assigned, or (R_1^-k, R_1^k)
+        # in the block, k = v - lo + 1, read as R_1^k g R_1^-k
+        through = [(c, None) for c in cols] + [(r[-k], r[k]) for k in range(1, hi - lo + 1)]
 
         def propagate(img, inv, used, stack):  # the new closed lengths, or None
             while stack:
@@ -232,16 +234,27 @@ class _Searcher:
                     w = img[v]
                     if w < 0 or w >= hi:
                         continue
+                    v_in, v_out = through[v]
+                    w_in, w_out = through[w]
                     if v == a:
                         ys = range(n)
                     else:  # y = a, and the y whose R_v(y) or R_w(g(y)) reads g at a
-                        ys = (a, r[v - lo + 1][a] if v >= lo else -1,
-                              inv[r[w - lo + 1][a]] if w >= lo else -1)
+                        ys = (a, -1 if v_out is None else v_out[a],
+                              -1 if w_out is None else inv[w_out[a]])
                     for y in ys:
-                        if y >= 0 and img[y] >= 0:
-                            x, t = read(v, y, img), read(w, img[y], img)
-                            if x >= 0 and t >= 0:
-                                stack.append((x, t))
+                        if y < 0 or (gy := img[y]) < 0:
+                            continue
+                        x = v_in[y]
+                        if v_out is not None:
+                            if (x := img[x]) < 0:
+                                continue
+                            x = v_out[x]
+                        t = w_in[gy]
+                        if w_out is not None:
+                            if (t := img[t]) < 0:
+                                continue
+                            t = w_out[t]
+                        stack.append((x, t))
             return used
 
         order = [0, *range(lo, hi - 1), *range(1, lo), *range(hi, n)]
@@ -256,6 +269,8 @@ class _Searcher:
             if x is None:
                 return found.append(img)
             for v in range(n):
+                if inv[v] >= 0 or v == x or need[x] % blen[v]:
+                    continue  # propagate's first check refuses (x, v)
                 img2, inv2 = img[:], inv[:]
                 used2 = propagate(img2, inv2, used, [(x, v)])
                 if used2 is not None:

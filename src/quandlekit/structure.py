@@ -265,18 +265,94 @@ def _group_isomorphic(tables, types, members) -> dict[int, list[int]]:
     """Isomorphism classes of tables[i] for i in members, taken in order,
     given the cycle types types[i] of each table's columns (_cycle_lengths).
 
-    Maps the first member of each class to its members; every later table is
-    compared with the class representatives in the order they were found.
+    Maps the first member of each class to its members.  When there are two
+    or more members, a table with a _pair_key joins the class of the first
+    table with the same key.  A table without one is compared by
+    _isomorphism with the unkeyed class representatives in the order they
+    were found; having a key is invariant under isomorphism, so no keyed
+    table is isomorphic to an unkeyed one.
     """
     classes: dict[int, list[int]] = {}
+    keyed: dict[tuple[int, ...], int] = {}
+    unkeyed: list[int] = []
     for i in members:
-        for rep, group in classes.items():
+        key = _pair_key(tables[i].array.tolist()) if len(members) > 1 else None
+        if key is not None:
+            classes.setdefault(keyed.setdefault(key, i), []).append(i)
+            continue
+        for rep in unkeyed:
             if _isomorphism(tables[i], types[i], tables[rep], types[rep]) is not None:
-                group.append(i)
+                classes[rep].append(i)
                 break
         else:
+            unkeyed.append(i)
             classes[i] = [i]
     return classes
+
+
+def _pair_key(t: list[list[int]]) -> tuple[int, ...] | None:
+    """A canonical form of the connected table t (rows t[x][j] = x * j) that
+    some pair generates, or None when t is disconnected or no pair does.
+
+    Aut(Q) contains Inn(Q), which is transitive on a connected Q, so one
+    element of the pair can be 0.  For y != 0, the labelling from (0, y)
+    numbers 0 and y first, then each new product a * b and b * a of
+    labelled elements, pairs taken by the larger label number b, then a.
+    R_0 is an automorphism fixing 0, so every y of one cycle of R_0 gives
+    the same relabelled table; one y is taken per cycle, at the shortest
+    cycle length at which some (0, y) generates.  An isomorphism fixing 0
+    maps these pairs onto each other, so the least relabelled table, in
+    row-major order, is the same for isomorphic tables, and only for them.
+    Generated by 0 and y, Q is connected when 0 reaches every label under
+    R_0 and R_y.
+    """
+    n = len(t)
+    cycles: dict[int, list[int]] = {}  # cycle length of R_0 -> one y per cycle
+    seen = [False] * n
+    for y in range(1, n):
+        size, z = 0, y
+        while not seen[z]:
+            seen[z], z, size = True, t[z][0], size + 1
+        if size:
+            cycles.setdefault(size, []).append(y)
+    if set(cycles) == {1}:  # R_0 is the identity, so all R_x are: Q is trivial
+        return None
+
+    def labelling(y: int) -> list[int] | None:  # the labels in order, if (0, y) generates
+        lab, pos = [0, y], {0: 0, y: 1}
+        b = 0
+        while b < len(lab) < n:
+            x = lab[b]
+            row = t[x]
+            for a in lab[: b + 1]:
+                for z in (t[a][x], row[a]):
+                    if z not in pos:
+                        pos[z] = len(lab)
+                        lab.append(z)
+            b += 1
+        return lab if len(lab) == n else None
+
+    for size in sorted(cycles):
+        labs = [lab for lab in map(labelling, cycles[size]) if lab is not None]
+        if labs:
+            break
+    else:
+        return None
+    y = labs[0][1]
+    reached, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for z in (t[x][0], t[x][y]):
+            if z not in reached:
+                reached.add(z)
+                stack.append(z)
+    if len(reached) < n:
+        return None
+    keys = []
+    for lab in labs:
+        pos = {x: k for k, x in enumerate(lab)}
+        keys.append(tuple(pos[t[x][z]] for x in lab for z in lab))
+    return min(keys)
 
 
 def are_isomorphic(q1: QuandleTable, q2: QuandleTable) -> Permutation | None:

@@ -8,6 +8,7 @@ import pytest
 
 from quandlekit import (
     ParamOutOfRange,
+    QuandleTable,
     RepeatedLengthsUnsupported,
     SearchSpec,
     SizeLimitExceeded,
@@ -20,7 +21,6 @@ from quandlekit import (
     prune_report,
     save_search_result,
     search_by_profile,
-    shq_family,
     validate_quandle,
 )
 from quandlekit import core, search
@@ -242,21 +242,41 @@ class TestSettledProfiles:
         assert len(res.quandles) == 6 and len(res.iso_classes) == 1
         assert res.stats.per_generator_nodes == (19, 159, 6)
 
+    @staticmethod
+    def class_of(res, q) -> int:
+        """The index of the one class of res whose representative is
+        isomorphic to q (by are_isomorphic)."""
+        matches = [
+            k for k, c in enumerate(res.iso_classes)
+            if are_isomorphic(res.quandles[c[0]], q) is not None
+        ]
+        assert len(matches) == 1, matches
+        return matches[0]
+
     def test_1_4_20_has_ten_classes(self):
+        # eight are Aff(Z_25, h) for the primitive roots h mod 25, and two are
+        # Aff(Z_5^2, lam (I + N)) with N = [[0, 1], [0, 0]] and lam = 2, 3
         res = search_by_profile(SearchSpec((1, 4, 20)))
         assert len(res.quandles) == 40
         assert len(res.iso_classes) == 10
-        target = shq_family(5, 3)
-        matches = [
-            c for c in res.iso_classes if are_isomorphic(res.quandles[c[0]], target) is not None
-        ]
-        assert len(matches) == 1
+        known = [affine_quandle(25, h) for h in (2, 3, 8, 12, 13, 17, 22, 23)]
+        points = np.array([(a, b) for a in range(5) for b in range(5)])
+        for lam in (2, 3):
+            m = lam * np.array([[1, 1], [0, 1]])
+            prod = (points @ m.T)[:, None] + (points @ (np.eye(2, dtype=int) - m).T)[None]
+            rows = (prod[..., 0] % 5 * 5 + prod[..., 1] % 5 + 1).tolist()  # x * y, 1-based
+            assert validate_quandle(rows).ok, lam
+            known.append(QuandleTable.from_rows(rows))
+        assert sorted(self.class_of(res, q) for q in known) == list(range(10))
 
     def test_1_2_6_18_hits(self):
-        # the isomorphism grouping of these hits takes about 16 s, so it is
-        # left to the CI smoke test (12 classes)
-        res = search_by_profile(SearchSpec((1, 2, 6, 18)), dedup=False)
+        # the six Aff(Z_27, h), h a primitive root mod 27, are six of the 12
+        # classes; the other six are not identified
+        res = search_by_profile(SearchSpec((1, 2, 6, 18)))
         assert len(res.quandles) == 144
+        assert len(res.iso_classes) == 12
+        found = {self.class_of(res, affine_quandle(27, h)) for h in (2, 5, 11, 14, 20, 23)}
+        assert len(found) == 6
 
     @pytest.mark.parametrize("m", range(2, 17))
     def test_two_lengths_match_vendramin(self, m):

@@ -1,7 +1,7 @@
 """Connectivity, profiles, subquandle enumeration, and isomorphism."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +32,7 @@ from quandlekit import (
     subtable,
     validate_quandle,
 )
-from quandlekit import structure
+from quandlekit import core, structure
 from conftest import (
     SHQS,
     SMALL,
@@ -475,6 +475,24 @@ class TestAreIsomorphic:
         assert are_isomorphic(dihedral_quandle(4), trivial_quandle(4)) is None
 
 
+def conjugation_quandle(m: int, cycle_type: tuple[int, ...]) -> QuandleTable:
+    """The permutations of range(m) with the given sorted cycle type, a
+    conjugacy class of S_m, under x * y = y^-1 x y."""
+    perms = [
+        p for p in permutations(range(m))
+        if tuple(sorted(map(len, core._cycles(p)))) == cycle_type
+    ]
+    index = {p: k for k, p in enumerate(perms)}
+    rows = []
+    for x in perms:
+        row = []
+        for y in perms:
+            y_inv = sorted(range(m), key=y.__getitem__)
+            row.append(index[tuple(y_inv[x[y[i]]] for i in range(m))] + 1)
+        rows.append(row)
+    return QuandleTable.from_rows(rows)
+
+
 class TestGroupIsomorphic:
     def test_invariants_once_per_table(self, monkeypatch):
         # order 7: affine multipliers 3 and 5, and 6 (the dihedral quandle),
@@ -502,6 +520,73 @@ class TestGroupIsomorphic:
         monkeypatch.setattr(structure, "_orbit_minima", spy)
         assert structure._group_isomorphic(tables, types, range(len(tables))) == want
         assert seen == []
+
+    # connected tables, several of each order.  In the class of cycle type
+    # (2, 3) in S_5, the shortest generating cycles of R_0 give three
+    # different relabelled tables, so the key must be their least.
+    # Aff(GF(9), -1) has no generating pair, and the last two are
+    # disconnected
+    KEYED = [
+        affine_quandle(5, 2), affine_quandle(5, 3), affine_quandle(5, 4),
+        affine_quandle(7, 3), affine_quandle(7, 5), dihedral_quandle(7),
+        affine_quandle(9, 2), affine_quandle(9, 5), cyclic_type_quandle(3, 2),
+        galois_affine_quandle(3, 2, 3), cyclic_type_quandle(2, 3), shq_family(3, 4),
+        conjugation_quandle(5, (2, 3)), conjugation_quandle(5, (1, 1, 3)),
+    ]
+    UNKEYED = [galois_affine_quandle(3, 2, 2), trivial_quandle(5), dihedral_quandle(6)]
+
+    @staticmethod
+    def key(q):
+        return structure._pair_key(q.array.tolist())
+
+    @staticmethod
+    def draw_relabelled(data, bank):
+        q = data.draw(st.sampled_from(bank))
+        return relabel(q, Permutation(data.draw(st.permutations(range(1, q.n + 1)))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_keys_equal_exactly_for_isomorphic_tables(self, data):
+        # the second table has the order of the first
+        q1 = self.draw_relabelled(data, self.KEYED)
+        q2 = self.draw_relabelled(data, [q for q in self.KEYED if q.n == q1.n])
+        k1, k2 = self.key(q1), self.key(q2)
+        assert k1 is not None and k2 is not None
+        assert (k1 == k2) == (are_isomorphic(q1, q2) is not None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_keeps_the_key(self, data):
+        q = data.draw(st.sampled_from(self.KEYED + self.UNKEYED))
+        assert self.key(self.draw_relabelled(data, [q])) == self.key(q)
+
+    def test_unkeyed_fixtures(self):
+        assert [self.key(q) for q in self.UNKEYED] == [None] * 3
+        assert is_connected(self.UNKEYED[0])
+
+    def test_unkeyed_tables_meet_only_unkeyed_representatives(self, monkeypatch):
+        # keyed and unkeyed tables of order 9, plain and relabelled
+        tables = [
+            galois_affine_quandle(3, 2, 2), affine_quandle(9, 2), shuffled(affine_quandle(9, 2), 5),
+            trivial_quandle(9), shuffled(galois_affine_quandle(3, 2, 2), 6),
+            shuffled(trivial_quandle(9), 7), affine_quandle(9, 5),
+        ]
+        want: dict[int, list[int]] = {}
+        for i, q in enumerate(tables):
+            rep = next((r for r in want if are_isomorphic(q, tables[r]) is not None), None)
+            want.setdefault(i if rep is None else rep, []).append(i)
+        assert want == {0: [0, 4], 1: [1, 2], 3: [3, 5], 6: [6]}
+        calls = []
+        real = structure._isomorphism
+
+        def spy(q1, inv1, q2, inv2):
+            calls.append(tuple(next(i for i, t in enumerate(tables) if t is q) for q in (q1, q2)))
+            return real(q1, inv1, q2, inv2)
+
+        monkeypatch.setattr(structure, "_isomorphism", spy)
+        types = [structure._cycle_lengths(q) for q in tables]
+        assert structure._group_isomorphic(tables, types, range(len(tables))) == want
+        assert calls == [(3, 0), (4, 0), (5, 0), (5, 3)]
 
 
 class TestTranslationConjugation:
