@@ -110,6 +110,21 @@ def _power(img: Sequence[int], k: int) -> list[int]:
     return out
 
 
+def _column_powers(tbl: np.ndarray, k: int) -> np.ndarray:
+    """The table whose column x is column x of tbl raised to the power k >= 0,
+    each column read as the 0-based permutation y -> tbl[y, x].  Repeated
+    squaring, each step one gather of the whole table: O(n^2 log k)."""
+    cols = np.arange(tbl.shape[1])
+    out = None
+    while k:
+        if k & 1:
+            out = tbl if out is None else tbl[out, cols]
+        k >>= 1
+        if k:
+            tbl = tbl[tbl, cols]
+    return np.indices(tbl.shape)[0] if out is None else out
+
+
 class Permutation:
     """Bijection of {1..n}, stored as the image tuple (image[i-1] = sigma(i))."""
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import CycleStructure, Permutation, QuandleTable, _cycles, _integers, _power
+from .core import CycleStructure, Permutation, QuandleTable, _column_powers, _cycles, _integers
 from .errors import (
     NotAPartition,
     NotCanonicalForm,
@@ -310,31 +310,44 @@ class FixBlockPartition:
 def fix_blocks(q: QuandleTable, exponent: int) -> FixBlockPartition:
     """Group labels by the fixed-point set of R_x**exponent.
 
-    For a canonical SHQ prefix these sets tile the labels into equal blocks;
-    anything else raises NotAPartition.
+    One power table (_column_powers) gives Fix(R_x^e) for every x as the
+    column mask powers == arange; each distinct mask is one block, in order
+    of first appearance.  For a canonical SHQ prefix these sets tile the
+    labels into equal blocks; anything else raises NotAPartition.  The
+    exponent must be a positive integer, else ParamOutOfRange.
     """
+    (exponent,) = _integers((exponent,), "exponent")
     if exponent < 1:
         raise ParamOutOfRange(f"exponent must be positive, got {exponent}")
     decomposition_of(q)  # canonical form required
-    distinct: dict[frozenset[int], int] = {}
-    for col in q.array.T.tolist():
-        # Fix(R_x^e) is the union of the cycles of R_x whose length divides e
-        fset = frozenset(y + 1 for c in _cycles(col) if exponent % len(c) == 0 for y in c)
-        if fset not in distinct:
-            distinct[fset] = min(fset)
+    return _fix_partition(_column_powers(q.array, exponent), exponent)[0]
+
+
+def _fix_partition(powers: np.ndarray, exponent: int) -> tuple[FixBlockPartition, np.ndarray]:
+    """fix_blocks from powers = _column_powers(tbl, exponent), with the key
+    (smallest member) of each 0-based label's block."""
+    fixed = powers.T == np.arange(len(powers))  # row x is Fix(R_x^e)
+    first: dict[bytes, int] = {}
+    for x, row in enumerate(fixed):
+        first.setdefault(row.tobytes(), x)
+    masks = fixed[list(first.values())]
+    sets = [frozenset((np.flatnonzero(m) + 1).tolist()) for m in masks]
+    reps = [min(fset) for fset in sets]
+    n = len(powers)
     covered: set[int] = set()
-    for fset in distinct:
+    for fset in sets:
         if covered & fset:
             raise NotAPartition(
                 f"fixed-point sets of R_x^{exponent} overlap: {sorted(fset)}"
             )
         covered |= fset
-    if covered != set(range(1, q.n + 1)):
-        raise NotAPartition(f"fixed-point sets of R_x^{exponent} do not cover 1..{q.n}")
-    sizes = {len(f) for f in distinct}
+    if covered != set(range(1, n + 1)):
+        raise NotAPartition(f"fixed-point sets of R_x^{exponent} do not cover 1..{n}")
+    sizes = {len(f) for f in sets}
     if len(sizes) != 1:
         raise NotAPartition(f"fixed-point blocks have unequal sizes {sorted(sizes)}")
-    return FixBlockPartition(exponent, {rep: fset for fset, rep in distinct.items()})
+    keys = np.array(reps)[np.nonzero(masks.T)[1]]  # one block per label
+    return FixBlockPartition(exponent, dict(zip(reps, sets))), keys
 
 
 @dataclass(frozen=True)
@@ -506,7 +519,10 @@ def fix_block_report(q: QuandleTable) -> FixBlockReport:
     F_x = Fix(R_x^(l_(m-1))) tile X_m into blocks of size n_(m-1); the sets
     B_x = Fix(R_x^l) tile it into blocks of size l+1 with B_x inside F_x;
     members of one B-block share R_y^l; and for m >= 3 the block of n_m is
-    evenly spaced with step l(l+1)^(m-3).
+    evenly spaced with step l(l+1)^(m-3).  Each prefix takes two power
+    tables (_column_powers), for l_(m-1) and for l; the l table gives both
+    the B blocks and every R_y^l.  B_x lies in F_x exactly when the F-block
+    key is constant on B_x.
     """
     params = classify_shq(q)
     if params is None:
@@ -518,10 +534,13 @@ def fix_block_report(q: QuandleTable) -> FixBlockReport:
     for m in range(2, decomp.c + 1):
         n_m = decomp.ns[m - 1]
         n_prev = decomp.ns[m - 2]
-        ambient = subtable(canon, range(1, n_m + 1))
+        tbl = subtable(canon, range(1, n_m + 1)).array  # canonical, as canon is
         try:
-            fpart = fix_blocks(ambient, decomp.ell(m - 1))
-            bpart = fix_blocks(ambient, ell)
+            fpart, fkey = _fix_partition(
+                _column_powers(tbl, decomp.ell(m - 1)), decomp.ell(m - 1)
+            )
+            powers = _column_powers(tbl, ell)
+            bpart, bkey = _fix_partition(powers, ell)
         except NotAPartition as exc:
             bad.append(f"prefix X_{m}: {exc}")
             continue
@@ -531,18 +550,16 @@ def fix_block_report(q: QuandleTable) -> FixBlockReport:
         if set(bpart.sizes) != {ell + 1}:
             bad.append(f"prefix X_{m}: B sizes {bpart.sizes}, want {ell + 1}")
         if m >= 3:  # at m = 2 the F blocks are singletons and B is everything
-            for x in range(1, n_m + 1):
-                if not bpart.block_of(x) <= fpart.block_of(x):
-                    bad.append(f"prefix X_{m}: B_{x} escapes F_{x}")
+            split = np.zeros(n_m + 1, dtype=bool)  # by B-block key
+            split[bkey[fkey != fkey[bkey - 1]]] = True
+            for x in (np.flatnonzero(split[bkey]) + 1).tolist():
+                bad.append(f"prefix X_{m}: B_{x} escapes F_{x}")
         top_block = set(decomp.block(m))
         if not fpart.block_of(n_m) <= top_block:
             bad.append(f"prefix X_{m}: F_{n_m} escapes L_{m}")
-        cols = ambient.array.T.tolist()
-        for rep, blk in sorted(bpart.blocks.items()):
-            base = _power(cols[rep - 1], ell)
-            for y in sorted(blk):
-                if _power(cols[y - 1], ell) != base:
-                    bad.append(f"prefix X_{m}: R_{y}^{ell} differs inside B_{rep}")
+        differs = np.flatnonzero((powers != powers[:, bkey - 1]).any(axis=0)).tolist()
+        for y in sorted(differs, key=bkey.__getitem__):
+            bad.append(f"prefix X_{m}: R_{y + 1}^{ell} differs inside B_{bkey[y]}")
         if m >= 3:
             step = ell * (ell + 1) ** (m - 3)
             want = {n_prev + j * step for j in range(1, ell + 2)}

@@ -8,6 +8,7 @@ the deduplicated structures are listed in lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -49,13 +50,16 @@ def _orbit_minima(moves: np.ndarray) -> np.ndarray:
     """low[x]: the smallest label (int32) of x's orbit under the maps whose
     images of x are the row moves[x].  Each label takes the smallest low of
     its images until none drops; the maps are permutations, so every label
-    of an orbit reaches every other and the fixpoint is the orbit minimum."""
+    of an orbit reaches every other and the fixpoint is the orbit minimum.
+    After each such step low jumps to low[low]: low[x] stays a label of x's
+    orbit no larger than x, so the fixpoint is the same, but a long cycle
+    is crossed in far fewer steps than its length."""
     low = np.arange(moves.shape[0], dtype=np.int32)
     while True:
         nxt = np.minimum(low, low[moves].min(axis=1))
         if not (nxt < low).any():
             return low
-        low = nxt
+        low = nxt[nxt]
 
 
 def orbits(q: QuandleTable) -> tuple[tuple[int, ...], ...]:
@@ -101,14 +105,16 @@ def _typed_profile(q: QuandleTable) -> tuple[list[tuple[int, ...]], Profile]:
     return types, Profile(structures, None if low.any() else structures[0])
 
 
-def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
-    """Closed subsets of a quandle table as boolean masks, one list per
-    orbit of the inner automorphism group Inn(Q).
+def _closed_orbits(tbl: np.ndarray) -> list[np.ndarray]:
+    """Closed subsets of a quandle table as boolean masks, one (k, n) array
+    of k masks per orbit of the inner automorphism group Inn(Q).
 
     Every right translation R_g is an automorphism, so Inn(Q) maps closed
     sets to closed sets, and the columns of a generating set generate it.
-    An orbit is seeded by one set and filled by the gathers tbl[S, g] over
-    those columns, with no closure.  The singletons seed the first orbits,
+    An orbit is seeded by one set, its first member, and filled a
+    breadth-first layer at a time: one scatter gives the images of the
+    whole layer under those columns, with no closure, and the images not
+    seen before make the next layer.  The singletons seed the first orbits,
     one per orbit of labels.  Only the first member S of each orbit is
     grown, by one outside element e and a closure: growing R(S) by R(e)
     gives R applied to a set found from S, so no orbit is missed.  As each
@@ -117,23 +123,27 @@ def _closed_orbits(tbl: np.ndarray) -> list[list[np.ndarray]]:
     columns tbl[:, S], the same helper that gives the orbits of labels.
     """
     n = tbl.shape[0]
-    cols = tbl[:, list(_generators(tbl))]
-    rows = np.arange(cols.shape[1])
+    cols = tbl[:, list(_generators(tbl))].T  # row j is R_(gen j)
+    rows = np.arange(len(cols))[:, None]
     known: set[bytes] = set()
-    out: list[list[np.ndarray]] = []
+    out: list[np.ndarray] = []
 
     def fill(seed: np.ndarray) -> None:
         known.add(seed.tobytes())
-        orbit = [seed]
-        for member in orbit:  # grows while it is walked
-            images = np.zeros((len(rows), n), dtype=bool)
-            images[rows, cols[member]] = True  # row j is the image under R_(gen j)
-            for image in images:
+        layers = [seed[None]]
+        while len(layers[-1]):
+            layer = layers[-1]
+            images = np.empty((len(layer), len(cols), n), dtype=bool)
+            images[:, rows, cols] = layer[:, None]  # [i, j] is R_(gen j)(layer[i])
+            images = images.reshape(-1, n)
+            fresh = []
+            for k, image in enumerate(images):
                 key = image.tobytes()
                 if key not in known:
                     known.add(key)
-                    orbit.append(image)
-        out.append(orbit)
+                    fresh.append(k)
+            layers.append(images[fresh])
+        out.append(np.concatenate(layers))
 
     for singleton in np.eye(n, dtype=bool):
         if singleton.tobytes() not in known:
@@ -236,11 +246,13 @@ def enumerate_subquandles(
     cap = resolve_cap(max_order, DEFAULT_ENUM_CAP)
     if q.n > cap:
         raise SizeLimitExceeded(f"order {q.n} exceeds enumeration cap {cap}")
-    # each orbit as its sorted (order, elements) keys; orbits by their first
-    orbits = sorted(
-        sorted((int(m.sum()), tuple((np.flatnonzero(m) + 1).tolist())) for m in orbit)
-        for orbit in _closed_orbits(q.array)
-    )
+    # each orbit as its sorted (order, elements) keys, read from one stack
+    # of all the masks; orbits by their first
+    found = _closed_orbits(q.array)
+    masks = np.concatenate(found)
+    labels = iter((np.nonzero(masks)[1] + 1).tolist())  # row by row
+    keys = iter([(size, tuple(islice(labels, size))) for size in masks.sum(axis=1).tolist()])
+    orbits = sorted(sorted(islice(keys, len(orbit))) for orbit in found)
     subs = [subtable(q, orbit[0][1]) for orbit in orbits]
     types, profiles = zip(*map(_typed_profile, subs))
     listed = sorted((key, i) for i, orbit in enumerate(orbits) for key in orbit)

@@ -7,9 +7,18 @@ import sys
 
 import pytest
 
-from quandlekit import affine_quandle, read_qdl, shq_family, write_qdl
+from quandlekit import (
+    FixBlockReport,
+    GaloisField,
+    affine_quandle,
+    fix_block_report,
+    galois_affine_quandle,
+    read_qdl,
+    shq_family,
+    write_qdl,
+)
 from quandlekit.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, shuffled
 
 Q94 = str(FIXTURES / "q94.qdl")
 CORRUPT = str(FIXTURES / "corrupt_idem.qdl")
@@ -203,6 +212,55 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--verify-main-theorem"]) == 0
         assert "main theorem: FAIL (not an SHQ)\n" in capsys.readouterr().out
         assert calls == []
+
+
+def _gf64_over_gf4():
+    field = GaloisField(2, 6)
+    return galois_affine_quandle(2, 6, field.pow(field.multiplicative_generator(), 21))
+
+
+class TestTheoremOutputPins:
+    """sha256 of the JSON reports on seed-18 relabellings of the theorem
+    benchmark's tables, pinned before the fix-block laws and the closed-set
+    orbits were computed from whole-table arrays."""
+
+    @pytest.mark.parametrize(
+        "p, c, digest",
+        [
+            (3, 4, "41517c65b0fce95714ebe0d67c97c06b1a2111fd1047001b8ca86dc796606b29"),
+            (5, 3, "15edc247ff465a233f3edcb473f57af98ac32334e31fa2431707a55456d3a482"),
+            (7, 3, "aaeccccc45cc1a27275f1db33c792ba333e9d99b20952f3468c7706d3426d52f"),
+            (3, 5, "b413ebc737f0d7afcad4a570fef9c20a14006739e89257f2dd0bd4073da1d9b1"),
+            (11, 3, "080491f6f25d41fa36f132ddefd33d41a2865e8c49df2d155f60ef9228dff907"),
+            (5, 4, "148e7d70fa2e65df3ff83117dab0edd053ae379ec8bd5ffe153a65dcf03f86f8"),
+        ],
+    )
+    def test_family_theorem_and_fix_blocks(self, capsys, tmp_path, p, c, digest):
+        from test_table_oracles import reference_fix_block_report
+
+        q = shuffled(shq_family(p, c), 18)
+        path = tmp_path / "f.qdl"
+        write_qdl(q, path)
+        argv = ["analyze", "--verify-main-theorem", "--subquandles", "--json",
+                "--max-order", "343", str(path)]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert fix_block_report(q) == reference_fix_block_report(q) == FixBlockReport(c - 1, ())
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: galois_affine_quandle(3, 3, 2),
+             "20c6b346158222aab49598a5e9459463eec9b13503d6c66aead7f616e1a376f3"),
+            (_gf64_over_gf4, "6a6ad2acfb2ed978d7b5ba4b99c379c6705963abba6f5892d9b1799e5ef5f868"),
+        ],
+        ids=["gf27", "gf64-over-gf4"],
+    )
+    def test_galois_inventory(self, capsys, tmp_path, make, digest):
+        path = tmp_path / "g.qdl"
+        write_qdl(shuffled(make(), 18), path)
+        assert main(["analyze", "--subquandles", "--json", str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestConstruct:

@@ -297,6 +297,16 @@ class TestFixBlocks:
         with pytest.raises(ParamOutOfRange):
             fix_blocks(q94, 2).block_of(42)
 
+    @pytest.mark.parametrize("exponent", [True, 2.0, 2.5, "2"])
+    def test_exponent_must_be_an_integer(self, q94, exponent):
+        with pytest.raises(ParamOutOfRange, match="exponent must be integers"):
+            fix_blocks(q94, exponent)
+
+    def test_numpy_integer_exponent_stored_as_int(self, q94):
+        part = fix_blocks(q94, np.int64(2))
+        assert type(part.exponent) is int
+        assert part == fix_blocks(q94, 2)
+
     def test_uncovered_labels_rejected(self):
         # every column equals (1)(2 3 4): only label 1 is ever fixed
         sigma = (1, 3, 4, 2)

@@ -9,6 +9,10 @@ forms, and on unchecked copies of those with two columns or two entries of
 a column swapped, which make the partition and conjugation checks fail.
 `profile` is compared only on the copies that are still quandles: it walks
 one translation per orbit, which stands for the orbit only in a quandle.
+`reference_fix_block_report` is the fix-block report as it ran before its
+power tables, compared on relabelled SHQs and on the copies that still
+classify as SHQs; the power and orbit kernels are compared with
+`Permutation.__pow__` and `reference_orbits`.
 
 The search's batched conjugation-closure check `_closed` is compared the same
 way with `reference_closed`, the loop over permutation tuples the search ran
@@ -56,12 +60,14 @@ from quandlekit import (
     ConjugationViolation,
     EmbeddingReport,
     FixBlockPartition,
+    FixBlockReport,
     FixedPointMissing,
     GaloisField,
     LcmCheck,
     NotAPartition,
     NotCanonicalForm,
     NotRelabelable,
+    NotSHQShape,
     ParamOutOfRange,
     ParseError,
     Permutation,
@@ -75,6 +81,7 @@ from quandlekit import (
     canonical_relabel,
     check_conjugation_relations,
     check_lcm_divisibility,
+    classify_shq,
     enumerate_subquandles,
     family_embedding,
     fix_block_report,
@@ -95,10 +102,11 @@ from quandlekit import (
     verify_main_theorem,
 )
 from quandlekit import construct, core
-from quandlekit.core import _close_mask
+from quandlekit.core import _close_mask, _column_powers
 from quandlekit.limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
 from quandlekit.shq import CheckOutcome, _block_bounds
 from quandlekit.search import _candidate_count, _closed, _Searcher
+from quandlekit.structure import _orbit_minima
 from conftest import (
     ACCEPTED_PROFILES,
     SHQS,
@@ -189,6 +197,55 @@ def reference_fix_blocks(q: QuandleTable, exponent: int) -> FixBlockPartition:
     if len(sizes) != 1:
         raise NotAPartition(f"fixed-point blocks have unequal sizes {sorted(sizes)}")
     return FixBlockPartition(exponent, {rep: fset for fset, rep in distinct.items()})
+
+
+def reference_fix_block_report(q: QuandleTable) -> FixBlockReport:
+    """fix_block_report as it ran before its power tables: the fixed sets of
+    each column (reference_fix_blocks), two powers per label for R_y^l and
+    one block_of scan per label for B_x inside F_x."""
+    params = classify_shq(q)
+    if params is None:
+        raise NotSHQShape("fix block laws apply to SHQs only")
+    canon, decomp = canonical_relabel(q)
+    ell = params.ell
+    checked = 0
+    bad: list[str] = []
+    for m in range(2, decomp.c + 1):
+        n_m = decomp.ns[m - 1]
+        n_prev = decomp.ns[m - 2]
+        ambient = subtable(canon, range(1, n_m + 1))
+        try:
+            fpart = reference_fix_blocks(ambient, decomp.ell(m - 1))
+            bpart = reference_fix_blocks(ambient, ell)
+        except NotAPartition as exc:
+            bad.append(f"prefix X_{m}: {exc}")
+            continue
+        checked += 1
+        if set(fpart.sizes) != {n_prev}:
+            bad.append(f"prefix X_{m}: F sizes {fpart.sizes}, want {n_prev}")
+        if set(bpart.sizes) != {ell + 1}:
+            bad.append(f"prefix X_{m}: B sizes {bpart.sizes}, want {ell + 1}")
+        if m >= 3:
+            for x in range(1, n_m + 1):
+                if not bpart.block_of(x) <= fpart.block_of(x):
+                    bad.append(f"prefix X_{m}: B_{x} escapes F_{x}")
+        if not fpart.block_of(n_m) <= set(decomp.block(m)):
+            bad.append(f"prefix X_{m}: F_{n_m} escapes L_{m}")
+        for rep, blk in sorted(bpart.blocks.items()):
+            base = right_translation(ambient, rep) ** ell
+            for y in sorted(blk):
+                if right_translation(ambient, y) ** ell != base:
+                    bad.append(f"prefix X_{m}: R_{y}^{ell} differs inside B_{rep}")
+        if m >= 3:
+            step = ell * (ell + 1) ** (m - 3)
+            want = {n_prev + j * step for j in range(1, ell + 2)}
+            got = set(bpart.block_of(n_m))
+            if got != want:
+                bad.append(
+                    f"prefix X_{m}: B_{n_m} = {sorted(got)}, "
+                    f"want spacing {step}: {sorted(want)}"
+                )
+    return FixBlockReport(checked, tuple(bad))
 
 
 def reference_conjugation(q: QuandleTable) -> ConjugationCheck:
@@ -679,6 +736,50 @@ class TestArrayFormsMatchReference:
         elif mutation == "constant":  # conjugation holds, fixed points may not
             perms = [Permutation(data.draw(st.permutations(range(1, q.n + 1))))] * q.n
         assert outcome(from_translations, perms) == outcome(reference_from_translations, perms)
+
+
+class TestFixBlockReportOracle:
+    def test_report_matches_reference(self):
+        """The violations in content and order, or the exception's type and
+        message, on relabelled SHQs and on canonical_tables that still
+        classify as SHQs (their profile reads R_1 and the orbits only); the
+        changed copies must break the laws in some cases."""
+        violated = []
+        shqs = canonical_tables().filter(lambda q: classify_shq(q) is not None)
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.one_of(relabelled(SHQS), shqs))
+        def check(q):
+            got = outcome(fix_block_report, q)
+            assert got == outcome(reference_fix_block_report, q)
+            if isinstance(got, FixBlockReport) and got.violations:
+                violated.append(got)
+
+        check()
+        assert violated
+
+
+class TestPowerAndOrbitKernels:
+    def test_column_powers_match_permutation_powers(self):
+        rng = random.Random(17)
+        for n in (1, 2, 5, 9, 16):
+            tbl = np.array([rng.sample(range(n), n) for _ in range(n)], dtype=np.int32).T
+            perms = [Permutation((tbl[:, x] + 1).tolist()) for x in range(n)]
+            for k in range(2 * n + 1):
+                powers = _column_powers(tbl, k)
+                for x, perm in enumerate(perms):
+                    assert tuple((powers[:, x] + 1).tolist()) == (perm**k).image
+
+    def test_orbit_minima_on_long_cycles(self):
+        # one column of shq_family(5, 4) moves labels along cycles of length 100
+        tbl = shq_family(5, 4).array
+        n = tbl.shape[0]
+        for x in range(n):
+            groups: dict[int, list[int]] = {}
+            for y, low in enumerate(_orbit_minima(tbl[:, [x]]).tolist(), start=1):
+                groups.setdefault(low, []).append(y)
+            column = QuandleTable._from_array(np.repeat(tbl[:, [x]], n, axis=1))
+            assert tuple(map(tuple, groups.values())) == reference_orbits(column)
 
 
 class LevelSearcher(_Searcher):
