@@ -76,11 +76,18 @@ def _capped_order(p: int, a: int, max_order: int | None) -> int:
     return order
 
 
-def _affine_table(hx: np.ndarray, ky: np.ndarray, base: int, digits: int) -> np.ndarray:
-    """The 1-based table hx[x] + ky[y] of encodings sum(c_i * base^i), added
-    digit by digit mod base: one digit mod m for Z_m, a digits mod p for the
-    additive group of GF(p^a).  In place, in two int32 n x n arrays."""
-    table = np.ones((len(hx), len(ky)), dtype=np.int32)
+def _affine_table(hx: np.ndarray, ky: np.ndarray, base: int, digits: int) -> QuandleTable:
+    """The table hx[x] + ky[y] of encodings sum(c_i * base^i), added digit
+    by digit mod base: one digit mod m for Z_m, a digits mod p for the
+    additive group of GF(p^a).  In place, in two int32 n x n arrays.
+
+    hx and ky are x -> h*x and y -> (1-h)*y for a unit h, so the table is a
+    quandle by construction and is wrapped unchecked: x*x = x, column y is
+    x -> h*x + (1-h)*y, a bijection as h is a unit, and the rule is
+    distributive, both sides of (x*y)*z = (x*z)*(y*z) being
+    h^2 x + h(1-h) y + (1-h) z.
+    """
+    table = np.zeros((len(hx), len(ky)), dtype=np.int32)
     cell = np.empty_like(table)
     for d in range(digits):
         place = base**d
@@ -88,13 +95,14 @@ def _affine_table(hx: np.ndarray, ky: np.ndarray, base: int, digits: int) -> np.
         np.remainder(cell, base, out=cell)
         cell *= place
         table += cell
-    return table
+    return QuandleTable._from_array(table)
 
 
 def affine_quandle(m: int, h: int, max_order: int | None = None) -> QuandleTable:
     """The table a * b = h*a - (h-1)*b on Z_m, labels shifted to 1..m.
 
-    h must be a unit mod m; h = 1 gives the trivial quandle.
+    h must be a unit mod m; h = 1 gives the trivial quandle.  The table is
+    a quandle by construction and is not validated again.
     """
     m, h = _integers((m, h), "m and h")
     if m < 1:
@@ -106,7 +114,7 @@ def affine_quandle(m: int, h: int, max_order: int | None = None) -> QuandleTable
     if gcd(h, m) != 1:
         raise MultiplierNotInvertible(f"{h} is not a unit modulo {m}")
     x = np.arange(m, dtype=np.int64)
-    return QuandleTable(_affine_table(h * x % m, (1 - h) * x % m, m, 1))
+    return _affine_table(h * x % m, (1 - h) * x % m, m, 1)
 
 
 def shq_family(p: int, c: int, max_order: int | None = None) -> QuandleTable:
@@ -278,10 +286,14 @@ def galois_affine_quandle(
     if h == field.zero or h == field.one:
         raise DegenerateMultiplier(f"multiplier {field.encode(h)} gives no quandle structure")
     k = field.sub(field.one, h)
-    elems = field.elements()
-    hx = np.array([field.encode(field.mul(h, x)) for x in elems])
-    ky = np.array([field.encode(field.mul(k, y)) for y in elems])
-    return QuandleTable(_affine_table(hx, ky, p, a))
+    # x -> h*x and y -> k*y are GF(p)-linear: row i of `linear` holds the
+    # digits of h * t^i, then those of k * t^i, for the basis t^i
+    basis = [field.element(p**i) for i in range(a)]
+    linear = np.array([field.mul(h, e) + field.mul(k, e) for e in basis])
+    places = p ** np.arange(a)
+    digits = np.arange(p**a)[:, None] // places % p  # row x: the digits of x
+    images = digits @ linear % p
+    return _affine_table(images[:, :a] @ places, images[:, a:] @ places, p, a)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ parse(format(q)) round-trips bit-exactly.
 
 from __future__ import annotations
 
+import codecs
+import functools
+import io
+import itertools
+import os
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -233,8 +238,13 @@ class ValidationResult:
         return f"{self.error}{at}"
 
 
-def _close_mask(tbl: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _close_mask(tbl: np.ndarray, mask: np.ndarray, new: np.ndarray | None = None) -> np.ndarray:
     """Fixpoint of all-pairs products over a boolean mask, in place.
+
+    When the labels `new` were added to a mask that was closed before, and
+    while the labels the last round added are fewer than half the mask, a
+    round forms only the products with a factor among them: O(n) a round
+    for a few new labels, where all pairs cost O(|mask|^2).
 
     The one closure kernel: subquandle closures, the growth step of the
     subquandle enumeration and the generating sets of _generators all run
@@ -244,14 +254,24 @@ def _close_mask(tbl: np.ndarray, mask: np.ndarray) -> np.ndarray:
     distributivity at b gives R_(a*b) = R_b R_a R_b^-1, an automorphism too.
     """
     n = tbl.shape[0]
-    size = int(mask.sum())
+    idx = np.flatnonzero(mask)
+    if new is not None:
+        while 0 < 2 * new.size < idx.size:
+            before = mask.copy()
+            mask[tbl[new[:, None], idx]] = True
+            mask[tbl[idx[:, None], new]] = True
+            new = np.flatnonzero(mask > before)
+            idx = np.flatnonzero(mask)
+        if not new.size:
+            return mask
+    size = idx.size
     while size < n:
-        idx = np.flatnonzero(mask)
         mask[tbl[idx[:, None], idx].ravel()] = True
         grown = int(mask.sum())
         if grown == size:
             break
         size = grown
+        idx = np.flatnonzero(mask)
     return mask
 
 
@@ -260,35 +280,80 @@ def _generators(tbl: np.ndarray):
 
     Each label yielded is the smallest one outside the closure of those
     yielded before; the closure is taken only when the next label is asked
-    for.  On a quandle the columns of a generating set also generate the
-    inner automorphism group, since R_(a*b) = R_b R_a R_b^-1.
+    for, incrementally (_close_mask).  A caller may send back, instead of
+    resuming with next(), labels to join the mask in place of the label
+    yielded; they must include it.  On a quandle the columns of a
+    generating set also generate the inner automorphism group, since
+    R_(a*b) = R_b R_a R_b^-1.
     """
     mask = np.zeros(tbl.shape[0], dtype=bool)
     g = 0
     while True:
-        yield g
-        mask[g] = True
-        rest = np.flatnonzero(~_close_mask(tbl, mask))
+        new = yield g
+        new = np.array([g]) if new is None else new
+        mask[new] = True
+        rest = np.flatnonzero(~_close_mask(tbl, mask, new))
         if not rest.size:
             return
         g = int(rest[0])
 
 
+def _automorphism(tbl: np.ndarray, col: np.ndarray, moved: np.ndarray) -> bool:
+    """Whether the permutation col, which moves the points `moved` (a
+    mask), is an automorphism of a table whose columns are bijections:
+    col[i*j] = col[i]*col[j] for all (i, j).
+
+    With S the points col moves and F those it fixes, only the pairs with
+    i in S, and those with i in F and j in S, are compared: O(|S| n) rather
+    than n^2.  The pairs with i and j in F follow.  For j in F the pairs
+    (i, j) with i in S say col R_j = R_j col on S, so R_j maps no point of
+    S into F (there col is the identity, and R_j is injective); then R_j
+    maps F onto F, and col fixes i*j.
+    """
+    s, f = np.flatnonzero(moved), np.flatnonzero(~moved)[:, None]
+    img = col[s]
+    rows = tbl[s]
+    # in place, which mode="clip" allows (the entries are labels): one new
+    # array fewer keeps the check level with the plain n^2 gather on
+    # connected tables; and two 1-D gathers beat the 2-D fancy index
+    # tbl[img[:, None], col[None, :]]
+    col.take(rows, out=rows, mode="clip")
+    if not np.array_equal(rows, tbl[img][:, col]):
+        return False
+    return np.array_equal(col.take(tbl[f, s]), tbl[f, img])
+
+
 def _distributive(tbl: np.ndarray) -> bool:
     """Right distributivity of a table whose columns are bijections.
 
-    Checks each R_g of the greedy generating set of _generators, each
-    before the next is found.  By the lemma in _close_mask, the closure of
-    the labels checked so far holds only automorphisms, so the table is
-    distributive once the set generates it.  O(|gens| n^2), not n^3.
+    Checks that R_g is an automorphism for each g of the greedy generating
+    walk of _generators, each before the next is found.  Distributivity at
+    k reads only the column R_k, so each check also settles every label
+    whose column equals R_g, and these join the walk's mask; by the lemma
+    in _close_mask, the closure of the mask holds only automorphisms.  The
+    table is distributive once the mask holds every label: after one check
+    on the trivial table, two on a connected affine one, and two per
+    component on a disjoint union of small connected quandles, where each
+    check is O(n) (_automorphism).
     """
-    for g in _generators(tbl):
+    labels = np.arange(tbl.shape[0])
+    walk = _generators(tbl)
+    g = next(walk)
+    while True:
         col = tbl[:, g]
-        # (i*j)*g against (i*g)*(j*g) for all (i, j); two 1-D gathers beat
-        # the equivalent 2-D fancy index tbl[col[:, None], col[None, :]]
-        if not np.array_equal(col.take(tbl), tbl[col][:, col]):
+        moved = col != labels
+        if not _automorphism(tbl, col, moved):
             return False
-    return True
+        # the columns equal to R_g, among those that agree with it on the
+        # first point it moves
+        r = np.argmax(moved)
+        same = np.flatnonzero(tbl[r] == col[r])
+        if same.size > 1:
+            same = same[(tbl[:, same] == col[:, None]).all(axis=0)]
+        try:
+            g = walk.send(same)
+        except StopIteration:
+            return True
 
 
 def _first_mismatch(tbl: np.ndarray) -> tuple[int, int, int] | None:
@@ -473,71 +538,33 @@ def _decimal_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split()]
 
 
-def _scalar_rows(body: list[tuple[int, str]], n: int) -> list[list[int]]:
-    """The integers of each (line number, line) of body, checked one line at
-    a time; raises ParseError at the first line that is not n integers."""
-    rows = []
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
-        try:
-            rows.append(_decimal_ints(line))
-        except ValueError:
-            raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
-    return rows
+# where only lines are counted, the bytes are taken this many at a time
+_CHUNK = 1 << 18
 
-
-# parse_qdl checks and converts the body in blocks of lines of about this many
-# bytes, so the temporaries of _first_flagged stay small next to the table
+# the body is checked and converted in line-aligned blocks of at least this
+# many bytes, so the temporaries of _scan stay small next to the table
 _BLOCK_BYTES = 1 << 16
 
+# a block that runs this many bytes past its start, to end a long line (a
+# comment, a run of spaces), goes to the scalar path instead: the masks of
+# _scan take many times the size of the block
+_LINE_BYTES = 1 << 20
 
-def _first_flagged(body: bytes, n: int) -> int | None:
-    """Index of the first of the b"\n"-joined lines of body that is not n
-    tokens of 1 to 9 ASCII digits, separated by spaces or tabs; None if none.
-
-    Array operations over the bytes count the token starts of each line and
-    flag a line with any other byte or with 10 digits in a row.  Such a line need not be an error ('-1' is not); the caller reads
-    it with the scalar check.
-    """
-    buf = np.frombuffer(body, dtype=np.uint8)
-    digit = (buf - 48) < 10  # uint8 wraps below '0'
-    breaks = np.flatnonzero(buf == 10)
-    starts = digit.copy()
-    starts[1:] &= ~digit[:-1]
-    flagged = np.add.reduceat(starts, np.r_[0, breaks + 1], dtype=np.intp) != n
-    other = ~(digit | (buf == 32) | (buf == 9))
-    other[breaks] = False
-    long = digit[: max(buf.size - 9, 0)].copy()  # long[p]: digits at p .. p + 9
-    for s in range(1, 10):
-        long &= digit[s : s + long.size]
-    for mask in (other, long):
-        flagged[np.searchsorted(breaks, np.flatnonzero(mask))] = True
-    bad = np.flatnonzero(flagged)
-    return int(bad[0]) if bad.size else None
+# the characters at which str.splitlines ends a line
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def parse_qdl(text: str) -> QuandleTable:
-    """Parse .qdl text; raises ParseError (with line number) on format errors.
+def _utf8_error(exc: UnicodeDecodeError, before: int, held: str = "") -> ParseError:
+    """The ParseError for a bad byte of exc.object, whose text follows
+    `before` lines and then the text `held`."""
+    # "x" stands in for the bad byte, so splitlines counts the line it is on
+    text = held + exc.object[: exc.start].decode("utf-8") + "x"
+    line = before + len(text.splitlines())
+    return ParseError(f"not valid UTF-8 (byte {exc.object[exc.start]:#04x})", line)
 
-    Integers are ASCII decimal, optionally negative: no '+', no '_', no
-    other digit scripts.  An order above the table cap (2048, or
-    QUANDLEKIT_MAX_ORDER) is refused before any row is converted.  The body
-    is checked (_first_flagged) and converted by array operations, a block
-    of lines at a time.  From the first line the check flags, the rows go
-    through the scalar check: it names the failing line, or it keeps
-    entries such as -1 or 2**64 for the validator's witness.
-    """
-    data: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data.append((lineno, stripped))
-    if not data:
-        raise ParseError("no table data found")
-    lineno, head = data[0]
+
+def _order(head: str, lineno: int) -> int:
+    """The order on the header line head; raises ParseError."""
     tokens = head.split()
     if len(tokens) != 1:
         raise ParseError(f"expected a single order, found {head!r}", lineno)
@@ -547,27 +574,240 @@ def parse_qdl(text: str) -> QuandleTable:
         raise ParseError(f"invalid order {tokens[0]!r}", lineno) from None
     if n < 1:
         raise ParseError(f"order must be positive, found {n}", lineno)
-    body = data[1:]
-    if len(body) < n:
-        last = data[-1][0]
-        raise ParseError(f"expected {n} rows, file ends after {len(body)}", last)
-    if len(body) > n:
-        raise ParseError("unexpected content after table", body[n][0])
+    return n
+
+
+def _count_rows(chunks, text: str, lineno: int, n: int, errors: str,
+                final: bool = True) -> tuple[int, int, int]:
+    """Decode text and then the byte chunks, one at a time, and count the
+    rows in them: the lines that are neither blank nor comments.
+
+    lineno lines precede text.  Returns the count, the line of the last row
+    (lineno when there is none) and the line of row n + 1 (0 when there is
+    none).  A bad byte raises the ParseError that read_qdl gives for it.
+    Only a chunk is held at a time, whatever the file's size or line
+    lengths.  When not final, the chunks stop inside the file: an
+    unfinished UTF-8 sequence at their end is no error, and the open line
+    counts as a row once its first character makes it one.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")(errors)
+    rows, last, extra = 0, lineno, 0
+    kind = ""  # the first non-space character of the open line; "" while blank
+    held = text
+    for chunk in itertools.chain(chunks, [b""] if final else []):
+        try:
+            text = held + decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc, lineno, held) from None
+        held = "\r" if chunk and text.endswith("\r") else ""  # it may pair with a "\n"
+        text = text[: len(text) - len(held)] if chunk else text + "\n"  # the last line ends
+        for line in text.splitlines(keepends=True):
+            kind = kind or line.lstrip()[:1]
+            if line[-1] in _BREAKS:
+                lineno += 1
+                if kind and kind != "#":
+                    rows += 1
+                    last = lineno
+                    extra = extra or (lineno if rows == n + 1 else 0)
+                kind = ""
+    if not final and kind and kind != "#":
+        rows += 1
+    return rows, last, extra
+
+
+def _pieces(data: bytes):
+    """data a chunk at a time."""
+    return (data[i : i + _CHUNK] for i in range(0, len(data), _CHUNK))
+
+
+# _PLACES[p, L] is the place value of the digit p places before the last
+# digit of a token of L digits: 10**p, or 0 outside the token
+_PLACES = np.array([[10**p * (p < L) for L in range(10)] for p in range(9)], dtype=np.int32)
+
+
+def _scan(buf: np.ndarray, n: int, room: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Check and convert a block of body bytes that starts a line.
+
+    One set of byte masks gives the byte classes, the token starts and ends
+    and the token count of each b"\n"-ended line.  A line is flagged for a
+    byte other than an ASCII digit, space or tab, or "\r" before "\n"; for
+    a run of 10 or more digits; for a token count other than 0 or n; and as
+    row room + 1.  Lines of no tokens are blank and skipped.
+
+    Returns (values, rows, lines, stop): the entries of the rows before
+    the first flagged line, n to a row, each read back from its token's
+    last digit; the index of each such row's line; and the number of lines
+    and of bytes before the first flagged line, or in the whole block when
+    none is flagged.  A flagged line need not be an error ('-1' is not):
+    the caller reads it on the scalar line path.
+    """
+    digit = (buf - 48) < 10  # uint8 wraps below '0'
+    breaks = np.flatnonzero(buf == 10)
+    change = np.empty(buf.size + 1, dtype=bool)  # token starts and ends
+    change[0], change[-1] = digit[0], digit[-1]
+    np.not_equal(digit[1:], digit[:-1], out=change[1:-1])
+    edges = np.flatnonzero(change)
+    starts, ends = edges[::2], edges[1::2]
+    lens = ends - starts
+    counts = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
+    rows = np.flatnonzero(counts)
+    other = ~(digit | (buf == 32) | (buf == 9))
+    other[breaks] = False
+    crlf = breaks[buf[breaks - 1] == 13]
+    other[crlf[crlf > 0] - 1] = False
+    flags = [
+        np.searchsorted(breaks, np.flatnonzero(other)[:1]),
+        np.searchsorted(breaks, starts[np.flatnonzero(lens >= 10)[:1]]),
+        rows[counts[rows] != n][:1],
+        rows[room : room + 1],
+    ]
+    lines, stop = breaks.size, buf.size
+    flagged = min((int(f[0]) for f in flags if f.size), default=None)
+    if flagged is not None:
+        rows = rows[rows < flagged]
+        lines, stop = flagged, int(breaks[flagged - 1]) + 1 if flagged else 0
+    k = rows.size * n
+    last, lens = ends[:k] - 1, lens[:k]
+    digits = buf - np.uint8(48)
+    values = np.zeros(k, dtype=np.int32)
+    for p in range(int(lens.max(initial=0))):
+        values += digits[last - p] * _PLACES[p][lens]
+    return values.reshape(-1, n), rows, lines, stop
+
+
+def _scalar_tail(tail: bytes, lineno: int, n: int, done: np.ndarray, last: int,
+                 errors: str) -> QuandleTable:
+    """The scalar line path, from the first flagged line to the end of the
+    body, which lineno lines precede: it raises the ParseError of the first
+    faulty line, or gives the rows converted before it (done, the last on
+    line `last`) and its own rows to QuandleTable.from_rows, which finds
+    the validator's witness."""
+    try:
+        text = tail.decode("utf-8", errors)
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(exc, lineno) from None
+    data = []
+    for lineno, line in enumerate(text.splitlines(), start=lineno + 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            data.append((lineno, stripped))
+    count = len(done) + len(data)
+    if count < n:
+        raise ParseError(f"expected {n} rows, file ends after {count}", data[-1][0] if data else last)
+    if count > n:
+        raise ParseError("unexpected content after table", data[n - len(done)][0])
+    rows = []
+    for lineno, line in data:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
+        try:
+            rows.append(_decimal_ints(line))
+        except ValueError:
+            raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
+    return QuandleTable.from_rows(done.tolist() + rows)
+
+
+def _read_body(body: bytes, n: int, lineno: int, errors: str) -> QuandleTable:
+    """The n rows of body, which starts after the order line, line lineno.
+
+    _scan checks and converts it a block at a time.  From the first line it
+    flags, or from a block longer than _LINE_BYTES, the rest goes to
+    _scalar_tail, the one error reporter.  A body of fewer than n lines goes
+    there whole, before any block is converted.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    lines = sum(np.count_nonzero(buf[i : i + _CHUNK] == 10) for i in range(0, buf.size, _CHUNK))
+    flagged = lines + 1 < n  # fewer lines than rows: convert no block
+    table = np.empty((0 if flagged else n, n), dtype=np.int32)
+    done, last, pos = 0, lineno, 0
+    while not flagged and pos < buf.size:
+        end = body.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or buf.size
+        if end - pos > _LINE_BYTES:
+            break
+        values, rows, lines, stop = _scan(buf[pos:end], n, n - done)
+        table[done : done + len(values)] = values
+        done += len(values)
+        if rows.size:
+            last = lineno + int(rows[-1]) + 1
+        lineno += lines
+        flagged = pos + stop < end
+        pos += stop
+    if pos == buf.size and done == n:
+        return QuandleTable(table)
+    return _scalar_tail(body[pos:], lineno, n, table[:done], last, errors)
+
+
+def _parse(f, errors: str, size: int) -> QuandleTable:
+    """The table in the .qdl bytes of the binary file f, of at most `size`
+    bytes (-1: unknown), decoded as UTF-8 with the given error handler.
+
+    The header is read first, a line at a time: comment and blank lines,
+    then the order line, then the cap check.  At or below the cap the rest
+    goes to _read_body as bytes, when it is no longer than n + 1 rows of
+    10-digit tokens can be, or when its first so many bytes hold no row
+    n + 1.  An order above the cap, a bad order line, or a row n + 1
+    within those bytes is refused after a count of the rows that holds one
+    chunk at a time, so that the error is the one the whole file gives.
+    """
+    lineno = 0
+    head = ""
+    while not head or head.startswith("#"):
+        raw = f.readline()
+        if not raw:
+            raise ParseError("no table data found")
+        try:
+            lines = raw.decode("utf-8", errors).splitlines(keepends=True)
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc, lineno) from None
+        while lines and (not head or head.startswith("#")):
+            head = lines.pop(0).strip()
+            lineno += 1
+    rest = "".join(lines)  # lines the order line shares a b"\n"-line with
+    try:
+        n, error = _order(head, lineno), None
+    except ParseError as exc:
+        n, error = 0, exc
+    try:
+        cap = resolve_cap(None, DEFAULT_TABLE_CAP)
+    except ParamOutOfRange:  # raised again after the row count, as before
+        cap = 0
+    chunks = iter(functools.partial(f.read, _CHUNK), b"")
+    if error is None and n <= cap:
+        # n + 1 rows of n 10-digit tokens and separators, CRLF-ended, and a chunk
+        limit = (n + 1) * (11 * n + 2) + _CHUNK
+        # one read of a known size: read() after readline goes by pieces and
+        # took about 10 times as long
+        data = f.read(limit + 1 if size < 0 else min(size, limit + 1))
+        if len(data) > limit and _count_rows(_pieces(data), rest, lineno, n, errors,
+                                             final=False)[0] > n:
+            chunks = itertools.chain(_pieces(data), chunks)
+        else:
+            if len(data) > limit:  # long comments, blank lines or rows, but no row n + 1
+                data += f.read()
+            return _read_body(rest.encode("utf-8", errors) + data, n, lineno, errors)
+    rows, last, extra = _count_rows(chunks, rest, lineno, n, errors)
+    if error is not None:
+        raise error
+    if rows < n:
+        raise ParseError(f"expected {n} rows, file ends after {rows}", last)
+    if rows > n:
+        raise ParseError("unexpected content after table", extra)
     cap = resolve_cap(None, DEFAULT_TABLE_CAP)
-    if n > cap:
-        raise ParseError(f"order {n} exceeds the cap {cap} ({ENV_MAX_ORDER})", lineno)
-    table = np.empty((n, n), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // len(body[0][1]))
-    for lo in range(0, n, step):
-        # non-ASCII text becomes bytes the check flags
-        raw = "\n".join(line for _, line in body[lo : lo + step]).encode("utf-8", "replace")
-        k = _first_flagged(raw, n)
-        if k is not None:
-            # the lines before passed a stricter check, so the first error is at k or later
-            rows = _scalar_rows(body[lo + k :], n)
-            return QuandleTable.from_rows(_scalar_rows(body[: lo + k], n) + rows)
-        table[lo : lo + step] = np.fromstring(raw, dtype=np.int32, sep=" ").reshape(-1, n)
-    return QuandleTable(table)
+    raise ParseError(f"order {n} exceeds the cap {cap} ({ENV_MAX_ORDER})", lineno)
+
+
+def parse_qdl(text: str) -> QuandleTable:
+    """Parse .qdl text; raises ParseError (with line number) on format errors.
+
+    Integers are ASCII decimal, optionally negative: no '+', no '_', no
+    other digit scripts.  An order above the table cap (2048, or
+    QUANDLEKIT_MAX_ORDER) is refused before any row is converted.  The text
+    goes through the byte reader of read_qdl (_parse).
+    """
+    # lone surrogates make the round trip too, so no decoding error is raised
+    data = text.encode("utf-8", "surrogatepass")
+    return _parse(io.BytesIO(data), "surrogatepass", len(data))
 
 
 def format_qdl(q: QuandleTable, comments: Iterable[str] = ()) -> str:
@@ -581,15 +821,10 @@ def format_qdl(q: QuandleTable, comments: Iterable[str] = ()) -> str:
 
 def read_qdl(path: str | Path) -> QuandleTable:
     """Parse a .qdl file, read as UTF-8; undecodable bytes are a ParseError
-    at the line of the first of them."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # "x" stands in for the bad byte, so splitlines counts the line it is on
-        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not valid UTF-8 (byte {raw[exc.start]:#04x})", line) from None
-    return parse_qdl(text)
+    at the line of the first of them.  The header is read first, so a file
+    whose order is above the cap is refused without being held (_parse)."""
+    with open(path, "rb") as f:
+        return _parse(f, "strict", os.fstat(f.fileno()).st_size or -1)  # 0 for a pipe
 
 
 def write_qdl(q: QuandleTable, path: str | Path, comments: Iterable[str] = ()) -> None:

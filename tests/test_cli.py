@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -535,3 +536,50 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout == "valid quandle of order 9\n"
+
+    @pytest.mark.parametrize("head, rows, out, over_mb", [
+        (b"3000\n", 3000, "line 1: order 3000 exceeds the cap 2048 (QUANDLEKIT_MAX_ORDER)", 4),
+        (b"3\n", 3000, "line 5: unexpected content after table", 4),
+        (b"3\n1 1 1\n2 2 2\n3 3 3\n", 1, "line 5: unexpected content after table", 4),
+        (b"3\n1 1 1\n2 2 2\n3 3 3\n#", 1, None, 72),
+    ])
+    def test_hostile_file_refused_at_bounded_memory(self, tmp_path, head, rows, out, over_mb):
+        # about 18 MB of rows, 3,000 entries each, after an order above the
+        # cap or after row 3 of an order-3 table; or one 18 MB row of 9
+        # million entries: the rows are counted a chunk at a time and never
+        # held, so the refusal peaks within a few MB of validating an order-3
+        # file.  A valid file whose 18 MB line is a comment is read whole, but
+        # goes to the line path, whose peak is a small multiple of the file's
+        # size; the array pass would take many times it.  The peak is the
+        # child's VmHWM, which starts afresh at exec; its ru_maxrss would keep
+        # this process's peak from the fork.
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status for the peak RSS")
+        big = tmp_path / "big.qdl"
+        row = b"1 " * (9_000_000 // rows) + b"\n"
+        with open(big, "wb") as f:
+            f.write(head)
+            for _ in range(rows):
+                f.write(row)
+        del row
+        probe = (
+            "import sys\n"
+            "from quandlekit.cli import main\n"
+            "rc = main(['validate', sys.argv[1]])\n"
+            "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(rc, peak[0].split()[1])\n"
+        )
+
+        def validate(path):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, str(path)], capture_output=True, text=True,
+                timeout=60,
+            )
+            rc, peak_kb = proc.stdout.split()[-2:]
+            return int(rc), int(peak_kb) / 1024, proc.stderr
+
+        rc, big_mb, err = validate(big)
+        assert (rc, err) == ((0, "") if out is None else (2, f"error: {out}\n"))
+        rc, small_mb, err = validate(TRIVIAL)
+        assert (rc, err) == (0, "")
+        assert big_mb < small_mb + over_mb, (big_mb, small_mb)

@@ -1,5 +1,6 @@
 """Tables, permutations, validation, and the .qdl text format."""
 
+import itertools
 import random
 import re
 from math import gcd
@@ -33,7 +34,7 @@ from quandlekit import (
 )
 from quandlekit import core
 from quandlekit.cli import main
-from conftest import FIXTURES, Q94_ROWS, dihedral_quandle, relabel, trivial_quandle
+from conftest import FIXTURES, Q94_ROWS, SMALL, dihedral_quandle, relabel, trivial_quandle
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:
@@ -323,6 +324,137 @@ def relabelled_rows(draw):
         q = dihedral_quandle(2 * draw(st.integers(1, 20)))
     image = draw(st.permutations(range(1, q.n + 1)))
     return [list(row) for row in relabel(q, Permutation(image)).rows]
+
+
+@st.composite
+def union_arrays(draw, max_order: int = 40):
+    """0-based table of a relabelled disjoint union of one to six SMALL
+    quandles (x * y = x across pieces), order <= max_order: tables with many
+    generators and with equal columns."""
+    pieces = draw(st.lists(st.sampled_from(SMALL), min_size=1, max_size=6))
+    while sum(q.n for q in pieces) > max_order:
+        pieces.pop()
+    n = sum(q.n for q in pieces)
+    t = np.repeat(np.arange(n)[:, None], n, axis=1)
+    lo = 0
+    for q in pieces:
+        t[lo : lo + q.n, lo : lo + q.n] = q.array + lo
+        lo += q.n
+    sigma = np.array(draw(st.permutations(range(n))))
+    out = np.empty_like(t)
+    out[np.ix_(sigma, sigma)] = sigma[t]
+    return out
+
+
+@st.composite
+def bijective_tables(draw):
+    """A union table, or a copy with one column changed so that every column
+    stays a bijection: two entries swapped, or the column replaced by
+    another one or by a random permutation."""
+    t = draw(union_arrays())
+    n = len(t)
+    j = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["none", "swap", "column", "permutation"]))
+    if kind == "swap" and n > 1:
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        t[[a, b], j] = t[[b, a], j]
+    elif kind == "column":
+        t[:, j] = t[:, draw(st.integers(0, n - 1))]
+    elif kind == "permutation":
+        t[:, j] = draw(st.permutations(range(n)))
+    return t
+
+
+class TestDistributivityKernel:
+    """_distributive checks one generator per class of equal columns and
+    closes the mask incrementally; the full scan _first_mismatch and the
+    per-pair definitions below are its oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bijective_tables())
+    def test_matches_full_scan(self, t):
+        assert core._distributive(t) == (core._first_mismatch(t) is None)
+        rows = (t + 1).tolist()
+        result = validate_quandle(rows)
+        assert (result.error, result.witness) == reference_first_failure(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(union_arrays(), st.data())
+    def test_automorphism_matches_definition(self, t, data):
+        n = len(t)
+        kind = data.draw(st.sampled_from(["column", "product", "permutation", "transposition"]))
+        if kind == "column":  # an inner automorphism
+            col = t[:, data.draw(st.integers(0, n - 1))]
+        elif kind == "product":
+            a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            col = t[t[:, b], a]
+        elif kind == "permutation":
+            col = np.array(data.draw(st.permutations(range(n))))
+        else:
+            col = np.arange(n)
+            if n > 1:
+                a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                          unique=True))
+                col[[a, b]] = col[[b, a]]
+        want = np.array_equal(col[t], t[np.ix_(col, col)])  # col(i*j) = col(i)*col(j)
+        assert core._automorphism(t, col, col != np.arange(n)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(union_arrays(max_order=24), st.data())
+    def test_incremental_closure(self, t, data):
+        # closing a closed set with new labels added gives the full closure
+        n = len(t)
+        closed = np.zeros(n, dtype=bool)
+        closed[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))] = True
+        core._close_mask(t, closed)
+        outside = np.flatnonzero(~closed).tolist()
+        if not outside:
+            return
+        new = np.array(data.draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2,
+                                          unique=True)))
+        mask = closed.copy()
+        mask[new] = True
+        want = core._close_mask(t, mask.copy())
+        assert np.array_equal(core._close_mask(t, mask, new), want)
+
+    def test_incremental_closure_on_small_tables(self):
+        # every closed set of two generators, grown by one label: few new
+        # labels against a larger mask take the products on both sides
+        for q in SMALL:
+            t = q.array
+            for a, b in itertools.combinations(range(q.n), 2):
+                closed = np.zeros(q.n, dtype=bool)
+                closed[[a, b]] = True
+                core._close_mask(t, closed)
+                for c in np.flatnonzero(~closed):
+                    mask = closed.copy()
+                    mask[c] = True
+                    want = core._close_mask(t, mask.copy())
+                    assert np.array_equal(core._close_mask(t, mask, np.array([c])), want)
+
+    @pytest.mark.parametrize("build, checks", [
+        (lambda: np.repeat(np.arange(2048)[:, None], 2048, axis=1), 1),  # trivial
+        (lambda: affine_quandle(343, 3).array, 2),  # connected
+        (lambda: affine_quandle(2048, 3).array, 2),  # two orbits, two generators
+        (lambda: disjoint(dihedral_quandle(3), 100), 200),  # two per component
+        (lambda: disjoint(affine_quandle(5, 2), 40), 80),
+    ])
+    def test_checks_per_table(self, monkeypatch, build, checks):
+        t = build()
+        calls = []
+        real = core._automorphism
+        monkeypatch.setattr(core, "_automorphism", lambda *a: calls.append(1) or real(*a))
+        assert core._distributive(t)
+        assert len(calls) == checks
+
+
+def disjoint(q: QuandleTable, copies: int) -> np.ndarray:
+    """0-based table of `copies` side-by-side copies of q, x * y = x across them."""
+    n = q.n * copies
+    t = np.repeat(np.arange(n)[:, None], n, axis=1)
+    for c in range(0, n, q.n):
+        t[c : c + q.n, c : c + q.n] = q.array + c
+    return t
 
 
 class TestQuandleTable:

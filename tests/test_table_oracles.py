@@ -33,16 +33,21 @@ isomorphism test.  test_structure.py compares `enumerate_subquandles` with it.
 `reference_affine_rows` and `reference_galois_rows` are the per-cell loops
 the affine constructions ran before they shared the array kernel
 `construct._affine_table`; `reference_family_embedding` is the pairwise
-`op` loop `family_embedding` ran before its one gather.
+`op` loop `family_embedding` ran before its one gather.  The constructions
+wrap their tables without validating them, so `validate_quandle` is checked
+on them here.
 
 `reference_parse_qdl` is the `.qdl` reader as it was before the body was read
-as one array: one `int()` per token and one list per row.  It and the
-per-cell writer `reference_format_qdl` are compared with `parse_qdl` and
-`format_qdl` on relabelled and trivial tables in varied layouts, with and
-without broken, hostile or oversized tokens.
+as one array: one `int()` per token and one list per row;
+`reference_read_qdl` decodes the whole file before it.  They and the
+per-cell writer `reference_format_qdl` are compared with `read_qdl`,
+`parse_qdl` and `format_qdl` on relabelled and trivial tables in varied
+layouts, with and without broken, hostile or oversized tokens and bytes,
+short and long bodies, and orders above the cap.
 """
 
 import itertools
+import os
 import random
 import sys
 from collections import deque
@@ -94,6 +99,7 @@ from quandlekit import (
     orbits,
     parse_qdl,
     profile,
+    read_qdl,
     right_translation,
     shq_family,
     subtable,
@@ -656,6 +662,17 @@ def reference_parse_qdl(text: str) -> QuandleTable:
     return QuandleTable.from_rows(rows)
 
 
+def reference_read_qdl(raw: bytes) -> QuandleTable:
+    """The file reader as it was before it read the header first: the whole
+    file decoded, then reference_parse_qdl."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not valid UTF-8 (byte {raw[exc.start]:#04x})", line) from None
+    return reference_parse_qdl(text)
+
+
 def reference_format_qdl(q: QuandleTable, comments=()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(str(q.n))
@@ -1179,6 +1196,41 @@ class TestAffineKernel:
             assert np.array_equal(galois_affine_quandle(p, a, field.element(k)).array, want), k
 
 
+# every field GF(p^a) of order at most 256
+FIELDS_256 = [(p, a) for p in range(2, 257) if all(p % d for d in range(2, p))
+              for a in range(1, 9) if p**a <= 256]
+
+
+@st.composite
+def affine_params(draw):
+    m = draw(st.integers(1, 200))
+    return m, draw(st.sampled_from([h for h in range(1, m + 1) if gcd(h, m) == 1]))
+
+
+class TestConstructorsAreQuandles:
+    """affine_quandle and galois_affine_quandle wrap their tables without
+    validating them, as quandles by construction; validate_quandle is the
+    oracle that they are."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(affine_params())
+    def test_affine(self, params):
+        m, h = params
+        for unit in (h, 1):
+            assert validate_quandle(affine_quandle(m, unit).array + 1).ok, (m, unit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIELDS_256), st.data())
+    def test_galois(self, field_params, data):
+        p, a = field_params
+        if p**a == 2:
+            return  # GF(2) has no multiplier other than 0 and 1
+        k = data.draw(st.integers(2, p**a - 1))
+        q = galois_affine_quandle(p, a, k)
+        assert validate_quandle(q.array + 1).ok
+        assert np.array_equal(q.array, np.array(reference_galois_rows(p, a, k)) - 1)
+
+
 class TestFamilyEmbeddingOracle:
     @pytest.mark.parametrize("p,c", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
     def test_members_match_reference(self, p, c):
@@ -1254,7 +1306,116 @@ def qdl_texts(draw):
     return q, newline.join(lines) + rng.choice([newline, ""]), bool(mutations)
 
 
+# Bytes that the reader's array pass leaves to the scalar line path: line
+# breaks other than b"\n" (a lone b"\r" too), other whitespace, a comment
+# mark, and non-ASCII bytes, valid UTF-8 or not.
+HOSTILE_BYTES = [
+    b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"#", "\xa0".encode(), "\x85".encode(),
+    "\u2028".encode(), "\u0663".encode(), b"\xff", b"\xc3", b"\xe2\x88", b"\xed\xa0\x80",
+]
+
+
+@st.composite
+def qdl_files(draw):
+    """(table, .qdl bytes, mutated) for a relabelled SMALL/SHQS table or a
+    trivial table.  The layout varies: tabs and runs of spaces, blank lines,
+    leading comments, CRLF or CR line ends, leading zeros.  Up to three
+    mutations follow: a token moved to another row, a hostile or oversized
+    token, a hostile byte inside a row, a comment or blank line between
+    rows, the body cut short (maybe inside a row), or extra lines after it."""
+    q = draw(relabelled(SMALL + SHQS) | st.integers(1, 8).map(trivial_quandle))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[str(v).zfill(len(str(v)) + rng.choice([0, 0, 0, 1, 3])) for v in row]
+            for row in (q.array + 1).tolist()]
+    kinds = ["move", "token", "oversized", "byte", "between", "short", "long"]
+    mutations = draw(st.lists(st.sampled_from(kinds), max_size=3))
+    between = []
+    for mutation in mutations:
+        r = rng.randrange(len(rows))
+        if not rows[r]:  # a row the body was cut inside of
+            continue
+        if mutation == "move" and len(rows) > 1:
+            rows[(r + rng.randrange(1, len(rows))) % len(rows)].append(rows[r].pop())
+        elif mutation == "token":
+            rows[r][rng.randrange(len(rows[r]))] = rng.choice(HOSTILE_TOKENS + ["1.5", "x"])
+        elif mutation == "oversized":
+            rows[r][rng.randrange(len(rows[r]))] = rng.choice(OVERSIZED_TOKENS)
+        elif mutation == "byte":
+            c = rng.randrange(len(rows[r]))
+            cut = rng.randrange(len(rows[r][c]) + 1)
+            hostile = rng.choice(HOSTILE_BYTES).decode("utf-8", "surrogateescape")
+            rows[r][c] = rows[r][c][:cut] + hostile + rows[r][c][cut:]
+        elif mutation == "between":
+            between.append((r, rng.choice(COMMENTS + ["", " \t"])))
+        elif mutation == "short":
+            del rows[r + 1 :]
+            del rows[r][rng.randrange(len(rows[r]) + 1) :]
+        elif mutation == "long":
+            rows += [rng.choice([["1"], ["x"], list(rows[0])]) for _ in range(rng.randint(1, 2))]
+    lines = [
+        rng.choice(["", " ", "\t"]) + "".join(t + rng.choice(SEPARATORS) for t in row).rstrip()
+        for row in rows
+    ]
+    for r, line in sorted(between, reverse=True):
+        lines.insert(r + 1, line)
+    head = [rng.choice(COMMENTS + ["", " \t"]) for _ in range(rng.randrange(3))]
+    newline = rng.choice(["\n", "\n", "\r\n", "\r"])
+    text = newline.join(head + [str(q.n)] + lines) + rng.choice([newline, ""])
+    return q, text.encode("utf-8", "surrogateescape"), bool(mutations)
+
+
 class TestQdlOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(qdl_files(), st.sampled_from([1, 7, 40, 1 << 16]), st.sampled_from([1, 5, 1 << 16]),
+           st.sampled_from([30, 1 << 20]), st.booleans())
+    def test_read_matches_reference(self, tmp_path_factory, case, block_bytes, chunk,
+                                    line_bytes, capped):
+        # Blocks of 7 and 40 bytes end inside a row more often than not, so the
+        # pass must carry on at the next line; chunks of 1 and 5 bytes split
+        # UTF-8 sequences and CRLF pairs in the count above the cap, which
+        # capped=True reaches by a cap one below the order; with line_bytes 30
+        # a long row or comment sends the rest of the body to the line path.
+        q, raw, mutated = case
+        path = tmp_path_factory.mktemp("qdl") / "t.qdl"
+        path.write_bytes(raw)
+        env = {ENV_MAX_ORDER: str(q.n - 1)} if capped and q.n > 1 else {}
+        with patch.dict(os.environ, env), patch.object(core, "_BLOCK_BYTES", block_bytes), \
+                patch.object(core, "_CHUNK", chunk), patch.object(core, "_LINE_BYTES", line_bytes):
+            want = outcome(reference_read_qdl, raw)
+            assert outcome(read_qdl, path) == want
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                text = raw.decode("utf-8", "surrogateescape")  # lone surrogates stay
+            assert outcome(parse_qdl, text) == outcome(reference_parse_qdl, text)
+        if not mutated and not env:
+            assert want == q
+
+    @pytest.mark.parametrize("raw", [
+        b"3\r\n1 1 1\r\xff\n",  # a bad byte after a "\r" that ends a chunk
+        b"3\r1 1 1\r\xff",  # CR line ends: one b"\n"-line
+        b"3 \r1 1\n\xe2\x88",  # a row on the order's b"\n"-line, a cut sequence
+        "# \u2217\r\n3\r\n1 1 1\r\n2 \u2028 2\r\n\r\n".encode(),
+        b"3\n1 1 1\n\n# c\n2 2 2\n3 3 3\n4\r",
+        b"3\n\n", b"3", b"x\n\xff", b"\n \n", b"3\n1 1 1\n\xc3\xa9\n",
+        # longer than n + 1 rows can be: row n + 1 in the bytes read, or not
+        b"1\n1\n#" + b"c" * 60 + b"\n", b"1\n" + b" " * 60 + b"1\n", b"1\n1\n1\n" + b"x" * 60,
+        b"1\n1\n" + b"2 " * 40 + b"\xff", b"1\n1\n" + "\u00e9".encode() * 40,
+        b"1\n1\n\n" + b"\r" * 60 + b"1",
+    ])
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_chunk_boundaries(self, tmp_path, raw, capped):
+        # every chunk size up to 8 bytes, so each cut falls between a "\r"
+        # and a "\n", and inside each multi-byte sequence
+        path = tmp_path / "t.qdl"
+        path.write_bytes(raw)
+        env = {ENV_MAX_ORDER: "2"} if capped else {}
+        with patch.dict(os.environ, env):
+            want = outcome(reference_read_qdl, raw)
+            for chunk in range(1, 9):
+                with patch.object(core, "_CHUNK", chunk):
+                    assert outcome(read_qdl, path) == want, chunk
+
     @settings(max_examples=300, deadline=None)
     @given(qdl_texts(), st.sampled_from([1, 20, 100, 1 << 16]))
     def test_parse_matches_reference(self, case, block_bytes):
