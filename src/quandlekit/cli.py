@@ -9,6 +9,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -201,6 +202,7 @@ def cmd_admissible(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser.  It holds no handlers: main dispatches on args.command."""
     parser = argparse.ArgumentParser(
         prog="quandlekit", description="Finite quandle toolkit."
     )
@@ -210,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a .qdl table against the axioms")
     p_val.add_argument("path")
     p_val.add_argument("--json", action="store_true")
-    p_val.set_defaults(func=cmd_validate)
 
     p_an = sub.add_parser("analyze", help="profile, connectivity, SHQ structure")
     p_an.add_argument("path")
@@ -219,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--subquandles", action="store_true")
     p_an.add_argument("--verify-main-theorem", action="store_true")
     p_an.add_argument("--max-order", type=int, default=None)
-    p_an.set_defaults(func=cmd_analyze)
 
     p_con = sub.add_parser("construct", help="build a quandle and write it out")
     kinds = p_con.add_subparsers(dest="kind", required=True)
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     for k in (k_aff, k_fam, k_gal, k_cyc):
         k.add_argument("--out", required=True)
         k.add_argument("--max-order", type=int, default=None)
-        k.set_defaults(func=cmd_construct)
 
     p_se = sub.add_parser("search", help="all connected quandles with a profile")
     p_se.add_argument("--profile", required=True, help='e.g. "1,2,6"')
@@ -247,21 +246,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--dedup", action="store_true", help="group by isomorphism")
     p_se.add_argument("--out", help="write .qdl files and manifest.json here")
     p_se.add_argument("--json", action="store_true")
-    p_se.set_defaults(func=cmd_search)
 
     p_ad = sub.add_parser("admissible", help="can an SHQ with this profile exist?")
     p_ad.add_argument("--profile", required=True)
     p_ad.add_argument("--json", action="store_true")
-    p_ad.set_defaults(func=cmd_admissible)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; may be called repeatedly in one process.  The
+    handler is looked up by name at call time, so a rebound cmd_* runs."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

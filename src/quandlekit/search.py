@@ -208,7 +208,8 @@ class _Searcher:
         # in the block, k = v - lo + 1, read as R_1^k g R_1^-k
         through = [(c, None) for c in cols] + [(r[-k], r[k]) for k in range(1, hi - lo + 1)]
 
-        def propagate(img, inv, used, stack):  # the new closed lengths, or None
+        # known: the v < n_i with g(v) < hi, in the order they were assigned
+        def propagate(img, inv, used, known, stack):  # the new closed lengths, or None
             while stack:
                 a, b = stack.pop()
                 if img[a] == b:
@@ -216,6 +217,8 @@ class _Searcher:
                 if img[a] >= 0 or inv[b] >= 0 or a == b or need[a] % blen[b]:
                     return None
                 img[a], inv[b] = b, a
+                if a < hi - 1 and b < hi:
+                    known.append(a)
                 head, tail, size = a, b, 1
                 while tail != a and img[tail] >= 0:
                     tail, size = img[tail], size + 1
@@ -230,10 +233,8 @@ class _Searcher:
                         return None
                 stack += [(h[a], h[b]) for h in commute]
                 # the instances (v, y) whose reads of g the new value completes
-                for v in range(hi - 1):
+                for v in known:
                     w = img[v]
-                    if w < 0 or w >= hi:
-                        continue
                     v_in, v_out = through[v]
                     w_in, w_out = through[w]
                     if v == a:
@@ -260,7 +261,7 @@ class _Searcher:
         order = [0, *range(lo, hi - 1), *range(1, lo), *range(hi, n)]
         found = []
 
-        def branch(img, inv, used):
+        def branch(img, inv, used, known):
             self.work[level] += 1
             if sum(self.work) > _WORK_BOUND:
                 msg = f"profile {self.lengths} needs more than {_WORK_BOUND} backtracking nodes"
@@ -271,16 +272,16 @@ class _Searcher:
             for v in range(n):
                 if inv[v] >= 0 or v == x or need[x] % blen[v]:
                     continue  # propagate's first check refuses (x, v)
-                img2, inv2 = img[:], inv[:]
-                used2 = propagate(img2, inv2, used, [(x, v)])
+                img2, inv2, known2 = img[:], inv[:], known[:]
+                used2 = propagate(img2, inv2, used, known2, [(x, v)])
                 if used2 is not None:
-                    branch(img2, inv2, used2)
+                    branch(img2, inv2, used2, known2)
 
         start = [x if x == hi - 1 else -1 for x in range(n)]
-        inv = start[:]
-        used = propagate(start, inv, 0, forced)
+        inv, known = start[:], []
+        used = propagate(start, inv, 0, known, forced)
         if used is not None:
-            branch(start, inv, used)
+            branch(start, inv, used, known)
         self.unary[level] += len(found)
         return np.array(found, dtype=np.int8).reshape(-1, n)
 

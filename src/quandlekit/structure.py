@@ -84,9 +84,16 @@ def is_latin(q: QuandleTable) -> bool:
 def _cycle_lengths(q: QuandleTable, low: np.ndarray | None = None) -> list[tuple[int, ...]]:
     """Sorted cycle lengths of each column R_x, given low = _orbit_minima(q.array).
     R_(x*j) = R_j R_x R_j^-1, so the translations of one orbit are conjugate:
-    only the column of each orbit's smallest label is walked."""
+    only the column of each orbit's smallest label is walked, and orbits whose
+    columns are equal share one walk."""
     low = (_orbit_minima(q.array) if low is None else low).tolist()
-    walked = {x: tuple(sorted(map(len, _cycles(q.array[:, x].tolist())))) for x in set(low)}
+    reps = sorted(set(low))
+    walks, walked = {}, {}
+    for x, col in zip(reps, q.array.T[reps]):
+        key = col.tobytes()
+        if key not in walks:
+            walks[key] = tuple(sorted(map(len, _cycles(col.tolist()))))
+        walked[x] = walks[key]
     return [walked[x] for x in low]
 
 

@@ -18,6 +18,7 @@ from quandlekit import (
     shq_family,
     write_qdl,
 )
+from quandlekit import cli
 from quandlekit.cli import main
 from conftest import FIXTURES, shuffled
 
@@ -509,6 +510,76 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def _outcome(argv, capsys):
+    """Exit code (argparse's SystemExit included), stdout and stderr of main."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestKeptParser:
+    def test_matches_fresh_parser(self, monkeypatch, capsys, tmp_path):
+        out = str(tmp_path / "a.qdl")
+        run = [
+            ["validate", Q94],
+            ["search", "--dedup"],  # usage error: --profile is required
+            ["validate", CORRUPT, "--json"],
+            ["validate", EMPTY],  # .qdl parse error
+            ["analyze", Q94, "--json", "--subquandles"],
+            ["construct", "affine", "--m", "7", "--h", "3", "--out", out],
+            ["construct", "affine", "--m", "4", "--h", "2", "--out", out],
+            ["analyze", out, "--verify-main-theorem"],
+            ["search", "--profile", "1,2,6", "--dedup"],
+            ["search", "--profile", "1,2", "--workers", "2"],
+            ["admissible", "--profile", "1,2,6", "--json"],
+            ["admissible", "--profile", "1,6,12"],
+            ["frobnicate"],
+            ["--version"],
+            [],
+            ["validate", Q94, "--json"],
+        ]
+        kept = [_outcome(argv, capsys) for argv in run]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_outcome(argv, capsys) for argv in run]
+        assert kept == fresh
+        assert [code for code, _, _ in kept] == [0, 2, 1, 2, 0, 0, 2, 0, 0, 2, 0, 1, 2, 0, 2, 0]
+
+    def test_built_once(self, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert main(["validate", Q94]) == 0
+            assert main(["admissible", "--profile", "1,2,6"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
+    def test_handler_looked_up_at_call_time(self, monkeypatch, capsys):
+        # a rebound cmd_* runs even after the parser is kept, as the
+        # benchmark's traced round and these tests rely on
+        assert main(["admissible", "--profile", "1,2,6"]) == 0
+        seen = []
+
+        def fake(args):
+            seen.append(args.profile)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_admissible", fake)
+        assert main(["admissible", "--profile", "1,2,6"]) == 7
+        assert seen == ["1,2,6"]
+        assert capsys.readouterr().out == "NotRuledOut\n"
 
 
 class TestUndecodableFile:

@@ -48,6 +48,11 @@ from conftest import (
 from test_table_oracles import reference_inventory, reference_orbits, reference_profile
 
 
+# Three singleton orbits with one column (the identity) and one orbit of
+# three transpositions.
+TRIVIAL_AND_D3 = shuffled(disjoint_union(trivial_quandle(3), dihedral_quandle(3)), 4)
+
+
 def subfield_quandle(p: int, a: int, s: int) -> QuandleTable:
     """Galois affine quandle over GF(p^a) whose multiplier generates the
     subfield GF(p^s); its closed sets are the affine GF(p^s)-subspaces."""
@@ -158,8 +163,13 @@ class TestOrbitsOfDifferentTypes:
 
     @pytest.mark.parametrize(
         "make, walks",
-        [(lambda: shq_family(5, 3), 1), (lambda: UNION, 3), (lambda: trivial_quandle(6), 6)],
-        ids=["family(5,3)", "union", "trivial6"],
+        [
+            (lambda: shq_family(5, 3), 1),
+            (lambda: UNION, 3),
+            (lambda: trivial_quandle(6), 1),
+            (lambda: TRIVIAL_AND_D3, 2),
+        ],
+        ids=["family(5,3)", "union", "trivial6", "trivial3+dihedral3"],
     )
     def test_profile_walks_one_column_per_orbit(self, make, walks, monkeypatch):
         q = make()
@@ -173,6 +183,14 @@ class TestOrbitsOfDifferentTypes:
         monkeypatch.setattr(structure, "_cycles", counted)
         profile(q)
         assert len(calls) == walks
+
+    @pytest.mark.parametrize(
+        "q", [trivial_quandle(6), UNION, TRIVIAL_AND_D3], ids=["trivial6", "union", "trivial3+dihedral3"]
+    )
+    def test_shared_walks_type_every_column(self, q):
+        """Orbits with equal columns share a walk; each column keeps its own type."""
+        want = [tuple(sorted(map(len, core._cycles(q.array[:, x].tolist())))) for x in range(q.n)]
+        assert structure._cycle_lengths(q) == want
 
 
 class TestClosure:
