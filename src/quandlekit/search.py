@@ -38,8 +38,8 @@ from .structure import _cycle_lengths, _group_isomorphic, is_connected
 # A search that needs more backtracking nodes (calls of the generators'
 # branch, over all tree nodes) is refused; the count is deterministic.  Of
 # the distinct-length profiles of order <= 32, (1,19) needs 15,118 nodes
-# (7 s on a 2-vCPU machine) and (1,2,3,4,6,12) 20,078 (2.7 s); (1,20) to
-# (1,31), from 26,120 nodes up, are refused.
+# (1.4-1.8 s in process on a 2-vCPU machine) and (1,2,3,4,6,12) 20,078
+# (0.9-1.0 s); (1,20) to (1,31), from 26,120 nodes up, are refused.
 _WORK_BOUND = 24_000
 
 
@@ -111,6 +111,12 @@ def _candidate_count(n: int, lengths) -> int:
     return factorial(n - 1) // prod(x for x in lengths if x > 1)
 
 
+# _closed tests a stack's pairs in slices of tables whose (tables x n x
+# pairs) gathers hold at most this many elements, so the index arrays stay
+# small however many tables and pairs a tree level has
+_CLOSED_ELEMENTS = 1 << 16
+
+
 def _closed(tables: np.ndarray, labels, new=None) -> np.ndarray:
     """Indices of the partial tables in a stack that satisfy the conjugation
     closure on `labels`.
@@ -119,10 +125,9 @@ def _closed(tables: np.ndarray, labels, new=None) -> np.ndarray:
     every u in labels; no other column is read as a translation.  Table b is
     kept when R_(v*u) = R_u R_v R_u^-1 for all u, v in labels with v*u in
     labels.  The relation is compared pointwise as (y*u)*(v*u) = (y*v)*u for
-    every y, which needs no inverse.  The labels u are taken one at a time,
-    in the order of `labels`, and every v for one u is tested in one gather
-    on the tables that passed the u before it, so a table is dropped at its
-    first failing u.  With `new` given, the tables are taken to pass the
+    every y, which needs no inverse.  Every pair (v, u) that some table tests
+    is taken in one gather of both sides, a slice of tables at a time (see
+    _CLOSED_ELEMENTS).  With `new` given, the tables are taken to pass the
     closure on the other labels already, and only the pairs with u, v or v*u
     in `new` are tested.
     """
@@ -130,23 +135,20 @@ def _closed(tables: np.ndarray, labels, new=None) -> np.ndarray:
     inside, fresh = np.zeros((2, tables.shape[1]), dtype=bool)
     inside[labels] = True
     fresh[labels if new is None else list(new)] = True
-    keep = np.arange(len(tables))
-    t = tables
-    for u in labels:
-        if len(keep) == 0:
-            break
-        v_u = t[:, labels, u]  # (B, V): v*u for v in labels
-        test = inside[v_u] & (fresh[u] | fresh[labels] | fresh[v_u])
-        cols = test.any(axis=0)
-        if not cols.any():
-            continue
-        v_u, test = v_u[:, cols], test[:, cols]
+    v_u = tables[:, labels[:, None], labels]  # (B, V, U): v*u, no larger than the stack
+    test = inside[v_u] & (fresh[labels, None] | fresh[labels] | fresh[v_u])
+    iv, iu = np.nonzero(test.any(axis=0))  # the pairs some table tests
+    v, u = labels[iv], labels[iu]
+    v_u, skip = v_u[:, iv, iu], ~test[:, iv, iu]  # (B, P)
+    step = max(1, _CLOSED_ELEMENTS // (tables.shape[1] * max(len(u), 1)))
+    ok = np.ones(len(tables), dtype=bool)
+    for s in range(0, len(tables), step):
+        t, cut = tables[s : s + step], slice(s, s + step)
         b = np.arange(len(t))[:, None, None]
-        lhs = t[b, t[:, :, u, None], v_u[:, None]]  # (B, n, V): (y*u)*(v*u)
-        rhs = t[b, t[:, :, labels[cols]], u]  # (B, n, V): (y*v)*u
-        ok = ((lhs == rhs) | ~test[:, None]).all(axis=(1, 2))
-        keep, t = keep[ok], t[ok]
-    return keep
+        lhs = t[b, t[:, :, u], v_u[cut, None]]  # (B, n, P): (y*u)*(v*u)
+        rhs = t[b, t[:, :, v], u]  # (B, n, P): (y*v)*u
+        ok[cut] = ((lhs == rhs) | skip[cut, None]).all(axis=(1, 2))
+    return np.flatnonzero(ok)
 
 
 class _Searcher:
@@ -255,7 +257,12 @@ class _Searcher:
                             if (t := img[t]) < 0:
                                 continue
                             t = w_out[t]
-                        stack.append((x, t))
+                        # settled here: assigned values never change in a
+                        # call, so the pop would refuse what this refuses
+                        if img[x] != t:
+                            if img[x] >= 0 or inv[t] >= 0:
+                                return None
+                            stack.append((x, t))
             return used
 
         order = [0, *range(lo, hi - 1), *range(1, lo), *range(hi, n)]
@@ -296,7 +303,10 @@ class _Searcher:
 
         def descend(level: int, table: np.ndarray):
             lo, hi = self.ns[level + 1], self.ns[level + 2]
-            blocks = self.block_columns(level, self.generators(level, table))
+            gens = self.generators(level, table)
+            if len(gens) == 0:
+                return
+            blocks = self.block_columns(level, gens)
             stack = np.repeat(table[None], len(blocks), axis=0)
             stack[:, :, lo:hi] = blocks
             for child in stack[_closed(stack, range(hi), range(lo, hi))]:

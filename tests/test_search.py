@@ -58,6 +58,15 @@ NODE_STATS = {
     (1, 2, 4, 5): ([5, 1, 0], [1, 0, 0], 1),
 }
 
+# (per_generator_nodes, per_generator_unary) past order 12, where the work
+# of generators' propagation shows
+SETTLED_STATS = {
+    (1, 16): ([3060], [8]),
+    (1, 3, 12): ([12, 4], [4, 0]),
+    (1, 4, 20): ([38, 390], [10, 40]),
+    (1, 2, 6, 18): ([15, 99, 414], [9, 54, 144]),
+}
+
 
 class TestSearchSpec:
     def test_order(self):
@@ -241,6 +250,12 @@ class TestSettledProfiles:
         res = search_by_profile(SearchSpec((1, 2, 3, 6)))
         assert len(res.quandles) == 6 and len(res.iso_classes) == 1
         assert res.stats.per_generator_nodes == (19, 159, 6)
+
+    @pytest.mark.parametrize("lengths", SETTLED_STATS, ids=str)
+    def test_pinned_work(self, lengths):
+        stats = prune_report(SearchSpec(lengths)).as_dict()
+        work, unary = SETTLED_STATS[lengths]
+        assert (stats["per_generator_nodes"], stats["per_generator_unary"]) == (work, unary)
 
     @staticmethod
     def class_of(res, q) -> int:

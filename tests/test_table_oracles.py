@@ -16,7 +16,9 @@ classify as SHQs; the power and orbit kernels are compared with
 
 The search's batched conjugation-closure check `_closed` is compared the same
 way with `reference_closed`, the loop over permutation tuples the search ran
-before, on stacks of candidate tables built by `partial_tables`.
+before, on stacks of candidate tables built by `partial_tables`, and with
+`reference_closed_pairs`, the same relation pair by pair with the `new`
+filter, on random partial stacks taken a few tables per slice.
 `reference_unary_survivors` is the unary filter as it ran before the search
 found each block's generators by backtracking: every candidate generator,
 unranked a slice of rows at a time by `candidate_slices`, then the commute,
@@ -107,7 +109,7 @@ from quandlekit import (
     validate_quandle,
     verify_main_theorem,
 )
-from quandlekit import construct, core
+from quandlekit import construct, core, search
 from quandlekit.core import _close_mask, _column_powers
 from quandlekit.limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
 from quandlekit.shq import CheckOutcome, _block_bounds
@@ -971,6 +973,70 @@ def closure_stacks(draw):
     return stack, labels
 
 
+def reference_closed_pairs(table, labels, new=None) -> bool:
+    """The closure on labels in plain Python, one pair at a time: for u, v in
+    labels with t = v*u in labels, and u, v or t in new when new is given,
+    R_t(x) = R_u(R_v(R_u^-1(x))) at every x.  Column u of table is R_u."""
+    n = len(table)
+    cols = {u: [int(x) for x in table[:, u]] for u in labels}
+    fresh = set(labels if new is None else new)
+    for u in labels:
+        ru, ru_inv = cols[u], [0] * n
+        for x, y in enumerate(ru):
+            ru_inv[y] = x
+        for v in labels:
+            t = ru[v]
+            if t not in cols or not fresh & {u, v, t}:
+                continue
+            if any(cols[t][x] != ru[cols[v][ru_inv[x]]] for x in range(n)):
+                return False
+    return True
+
+
+@st.composite
+def partial_stacks(draw):
+    """(stack, labels, new) for _closed: up to 6 tables of order 2 to 8
+    whose columns in labels are permutations, and 2 or more labels in a
+    random order.  A table is a relabelled SMALL quandle, which passes on
+    every label set, possibly with one column in labels replaced, or random:
+    permutations in labels and arbitrary entries elsewhere.  new is None, or
+    some of labels."""
+    n = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    bank = [q for q in SMALL if q.n == n]
+    tables = []
+    for _ in range(draw(st.integers(0, 6))):
+        if bank and draw(st.booleans()):
+            table = draw(relabelled(bank)).array.astype(np.int8)
+        else:
+            entries = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+            table = np.array(draw(entries), dtype=np.int8).reshape(n, n)
+            for u in labels:
+                table[:, u] = draw(st.permutations(range(n)))
+        if draw(st.booleans()):
+            table[:, draw(st.sampled_from(labels))] = draw(st.permutations(range(n)))
+        tables.append(table)
+    stack = np.array(tables, dtype=np.int8).reshape(-1, n, n)
+    new = draw(st.none() | st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    return stack, labels, new
+
+
+def last_u_case():
+    """(stack, labels) whose one table fails the closure only at the last
+    label u = 1.  At u = 0 the pair v = 0 holds trivially and 1*0 = 2 is
+    outside the labels; at u = 1, 0*1 = 0, and R_0 and R_1 do not commute."""
+    table = np.array([[0, 0, 0, 0], [2, 1, 1, 1], [1, 3, 2, 2], [3, 2, 3, 3]], dtype=np.int8)
+    return table[None], [0, 1]
+
+
+def product_new_case():
+    """(stack, labels, new) whose one table fails the closure only at the
+    pair u = v = 1, tested because v*u = 2 is the new label: R_2 R_1 and
+    R_1 R_1 differ at 0.  Every other pair holds or leaves the labels."""
+    table = np.array([[0, 1, 1], [1, 2, 0], [2, 0, 2]], dtype=np.int8)
+    return table[None], [2, 1], [2]
+
+
 def outside_pairs_case():
     """(stack, labels) for the canonical table of shq_family(3, 3), profile
     (1,2,6), on the labels {0, 3..8} with its block-2 columns 1 and 2 zeroed.
@@ -1006,6 +1072,22 @@ class TestSearchClosure:
         want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
         got = set(_closed(stack, old).tolist()) & set(_closed(stack, labels, new).tolist())
         assert sorted(got) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_stacks(), st.sampled_from([1, 5, 64, search._CLOSED_ELEMENTS]))
+    @example((np.zeros((0, 3, 3), dtype=np.int8), [0, 2, 1], None), 1)
+    @example((np.zeros((0, 3, 3), dtype=np.int8), [0, 2, 1], [2]), 1)
+    @example((*last_u_case(), None), 1)
+    @example((*last_u_case(), [1]), search._CLOSED_ELEMENTS)
+    @example((np.repeat(last_u_case()[0], 5, axis=0), [0, 1], [0]), 5)
+    @example(product_new_case(), 1)
+    def test_matches_pairwise_reference(self, case, budget):
+        """With the budget patched below one table's gather, every table is
+        a slice of its own; at 64 elements a slice holds a few."""
+        stack, labels, new = case
+        want = [b for b, t in enumerate(stack) if reference_closed_pairs(t, labels, new)]
+        with patch.object(search, "_CLOSED_ELEMENTS", budget):
+            assert _closed(stack, labels, new).tolist() == want
 
 
 class NodeRecorder(_Searcher):
