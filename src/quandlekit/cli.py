@@ -4,6 +4,12 @@ Exit codes: 0 success (or a "not ruled out" verdict), 1 domain-negative
 (invalid table, ruled-out profile), 2 usage, parameter, parse, or I/O error.
 JSON output is key-sorted and schema-versioned; identical inputs produce
 byte-identical reports.
+
+At module level this imports only the standard library, the error classes and
+the version, so `--version`, `--help` and usage errors load neither numpy nor
+any numeric submodule.  Each cmd_* imports what it calls when it starts, looked
+up in the defining module at call time, so a function rebound there is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -15,22 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .construct import (
-    GaloisField,
-    _capped_order,
-    affine_quandle,
-    galois_affine_quandle,
-    shq_family,
-)
-from .core import ValidationResult, _decimal_ints, read_qdl, write_qdl
-from .errors import (
-    InvalidQuandleError,
-    ParseError,
-    QuandleKitError,
-)
-from .search import SearchSpec, save_search_result, search_by_profile, search_manifest
-from .shq import _classify, _verify, check_profile_admissible
-from .structure import enumerate_subquandles, is_latin, profile
+from .errors import InvalidQuandleError, ParseError, QuandleKitError
 
 
 def _parse_profile(text: str) -> tuple[int, ...]:
@@ -43,6 +34,8 @@ def _parse_profile(text: str) -> tuple[int, ...]:
 
 
 def _one_int(part: str) -> int:
+    from .core import _decimal_ints
+
     (value,) = _decimal_ints(part)
     return value
 
@@ -56,6 +49,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_validate(args) -> int:
+    from .core import ValidationResult, read_qdl
+
     try:
         q = read_qdl(args.path)
         result = ValidationResult(ok=True, order=q.n)
@@ -78,6 +73,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .core import read_qdl
+    from .shq import _classify, _verify
+    from .structure import enumerate_subquandles, is_latin, profile
+
     q = read_qdl(args.path)
     prof = profile(q)
     params = _classify(prof)
@@ -146,6 +145,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .construct import (
+        GaloisField,
+        _capped_order,
+        affine_quandle,
+        galois_affine_quandle,
+        shq_family,
+    )
+    from .core import write_qdl
+    from .structure import profile
+
     if args.kind == "affine":
         q = affine_quandle(args.m, args.h, max_order=args.max_order)
     elif args.kind == "shq-family":
@@ -164,6 +173,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import SearchSpec, save_search_result, search_by_profile, search_manifest
+
     spec = SearchSpec(_parse_profile(args.profile))
     result = search_by_profile(spec, max_order=args.max_order, dedup=args.dedup)
     if args.out:
@@ -181,6 +192,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_admissible(args) -> int:
+    from .shq import check_profile_admissible
+
     verdict = check_profile_admissible(_parse_profile(args.profile))
     if args.json:
         _emit_json(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .errors import (
 )
 from .limits import DEFAULT_TABLE_CAP, resolve_cap
 from .numth import factorize, is_prime, multiplicative_order
-from .shq import CheckOutcome
+
+if TYPE_CHECKING:  # imported by family_embedding, so that construct loads no shq
+    from .shq import CheckOutcome
 
 
 @dataclass(frozen=True)
@@ -312,6 +315,8 @@ class EmbeddingReport:
 def family_embedding(p: int, c: int, max_order: int | None = None) -> EmbeddingReport:
     """Check that the order-p^(c-1) member sits inside the order-p^c member
     as the image of z -> p*z."""
+    from .shq import CheckOutcome
+
     p, c = _integers((p, c), "p and c")
     small = shq_family(p, c, max_order)
     big = shq_family(p, c + 1, max_order)

@@ -130,6 +130,28 @@ def _column_powers(tbl: np.ndarray, k: int) -> np.ndarray:
     return np.indices(tbl.shape)[0] if out is None else out
 
 
+# The canonical block layout of a distinct-length profile (see shq), kept here
+# so that search can use it without loading shq.
+def _block_bounds(lengths) -> tuple[int, ...]:
+    """Partial sums n_1 < ... < n_c of the block lengths."""
+    return tuple(itertools.accumulate(lengths))
+
+
+def _label_block_lengths(lengths) -> tuple[int, ...]:
+    """Length of the block holding each 0-based canonical label."""
+    return tuple(x for x in lengths for _ in range(x))
+
+
+def _canonical_r1(lengths) -> tuple[int, ...]:
+    """0-based image of the canonical R_1: each block is one forward cycle."""
+    ns = _block_bounds(lengths)
+    img: list[int] = []
+    for lo, hi in zip((0,) + ns, ns):
+        img.extend(range(lo + 1, hi))
+        img.append(lo)
+    return tuple(img)
+
+
 class Permutation:
     """Bijection of {1..n}, stored as the image tuple (image[i-1] = sigma(i))."""
 

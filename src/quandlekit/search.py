@@ -29,10 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QuandleTable, _integers, _power, format_qdl
+from .core import (
+    QuandleTable,
+    _block_bounds,
+    _canonical_r1,
+    _integers,
+    _label_block_lengths,
+    _power,
+    format_qdl,
+)
 from .errors import ParamOutOfRange, RepeatedLengthsUnsupported, SizeLimitExceeded
 from .limits import DEFAULT_SEARCH_CAP, resolve_cap
-from .shq import _block_bounds, _canonical_r1, _label_block_lengths
 from .structure import _cycle_lengths, _group_isomorphic, is_connected
 
 # A search that needs more backtracking nodes (calls of the generators'

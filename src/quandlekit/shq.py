@@ -17,11 +17,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .core import CycleStructure, Permutation, QuandleTable, _column_powers, _cycles, _integers
+from .core import (
+    CycleStructure,
+    Permutation,
+    QuandleTable,
+    _block_bounds,
+    _canonical_r1,
+    _column_powers,
+    _cycles,
+    _integers,
+    _label_block_lengths,
+)
 from .errors import (
     NotAPartition,
     NotCanonicalForm,
@@ -153,26 +162,6 @@ def check_profile_admissible(lengths) -> Admissibility:
                 i,
             )
     return Admissibility(lengths, False)
-
-
-def _block_bounds(lengths) -> tuple[int, ...]:
-    """Partial sums n_1 < ... < n_c of the block lengths."""
-    return tuple(accumulate(lengths))
-
-
-def _label_block_lengths(lengths) -> tuple[int, ...]:
-    """Length of the block holding each 0-based canonical label."""
-    return tuple(x for x in lengths for _ in range(x))
-
-
-def _canonical_r1(lengths) -> tuple[int, ...]:
-    """0-based image of the canonical R_1: each block is one forward cycle."""
-    ns = _block_bounds(lengths)
-    img: list[int] = []
-    for lo, hi in zip((0,) + ns, ns):
-        img.extend(range(lo + 1, hi))
-        img.append(lo)
-    return tuple(img)
 
 
 def _has_canonical_r1(q: QuandleTable, lengths) -> bool:

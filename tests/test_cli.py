@@ -170,11 +170,12 @@ class TestAnalyze:
     def test_profile_computed_once_per_layer(self, capsys, monkeypatch):
         # cmd_analyze computes the profile once and hands it to the theorem
         # check; before, verify_main_theorem and classify_shq recomputed it
-        from quandlekit import cli, shq, structure
+        from quandlekit import shq, structure
 
         calls = []
-        spy = lambda q: calls.append(q.n) or structure.profile(q)  # noqa: E731
-        monkeypatch.setattr(cli, "profile", spy)
+        real = structure.profile
+        spy = lambda q: calls.append(q.n) or real(q)  # noqa: E731
+        monkeypatch.setattr(structure, "profile", spy)  # cmd_analyze imports it from here
         monkeypatch.setattr(shq, "profile", spy)
         assert main(["analyze", Q94, "--verify-main-theorem", "--json"]) == 0
         out = capsys.readouterr().out
