@@ -409,34 +409,40 @@ def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
     for the full scan that finds its first witness.  rows may also be an
     integer numpy array, which is read without a copy.
     """
+    return _validated(rows)[0]
+
+
+def _validated(rows: Sequence[Sequence[int]]) -> tuple[ValidationResult, np.ndarray | None]:
+    """validate_quandle's result, and the table 0-based as a new int32 array
+    when it is a quandle (else None)."""
     n = len(rows)
     if n == 0:
-        return ValidationResult(False, "NonSquare", ())
+        return ValidationResult(False, "NonSquare", ()), None
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
-            return ValidationResult(False, "NonSquare", (i,))
+            return ValidationResult(False, "NonSquare", (i,)), None
     arr = _int_table(rows, n)
     if arr is None:  # find the first bad entry; bools pass, as ints
         for i, row in enumerate(rows, start=1):
             for j, v in enumerate(row, start=1):
                 if not isinstance(v, int) or not 1 <= v <= n:
-                    return ValidationResult(False, "EntryOutOfRange", (i, j))
+                    return ValidationResult(False, "EntryOutOfRange", (i, j)), None
         arr = np.array(rows, dtype=np.int32)
     elif arr.min() < 1 or arr.max() > n:
         i, j = np.argwhere((arr < 1) | (arr > n))[0]
-        return ValidationResult(False, "EntryOutOfRange", (int(i) + 1, int(j) + 1))
+        return ValidationResult(False, "EntryOutOfRange", (int(i) + 1, int(j) + 1)), None
     t = np.subtract(arr, 1, dtype=np.int32)
     labels = np.arange(n)
     bad = np.flatnonzero(t.diagonal() != labels)
     if bad.size:
-        return ValidationResult(False, "IdempotencyViolation", (int(bad[0]) + 1,))
+        return ValidationResult(False, "IdempotencyViolation", (int(bad[0]) + 1,)), None
     bad = np.flatnonzero((np.sort(t, axis=0) != labels[:, None]).any(axis=0))
     if bad.size:
-        return ValidationResult(False, "RightInvertibilityViolation", (int(bad[0]) + 1,))
+        return ValidationResult(False, "RightInvertibilityViolation", (int(bad[0]) + 1,)), None
     if not _distributive(t):
         i, j, k = _first_mismatch(t)
-        return ValidationResult(False, "DistributivityViolation", (i + 1, j + 1, k + 1))
-    return ValidationResult(True, None, (), n)
+        return ValidationResult(False, "DistributivityViolation", (i + 1, j + 1, k + 1)), None
+    return ValidationResult(True, None, (), n), t
 
 
 class QuandleTable:
@@ -450,13 +456,9 @@ class QuandleTable:
     __slots__ = ("array",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        arr = _int_table(rows, len(rows))
-        # entries numpy cannot take as one integer array go to validation as
-        # they are, so its scalar scan finds the first bad one
-        result = validate_quandle(rows if arr is None else arr)
+        result, array = _validated(rows)
         if not result.ok:
             raise InvalidQuandleError(result)
-        array = np.subtract(rows if arr is None else arr, 1, dtype=np.int32)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
 

@@ -6,12 +6,17 @@ other translation is a power-of-R_1 conjugate of one of the c-1 block
 generators R_(n_i).  The search fixes R_1 and walks a tree with one level per
 block: a node finds its block's generators under every relation its assigned
 columns give, by a backtracking that never lists the candidate space, and
-derives the block's translations as gathers by powers of R_1.  One batched
-check, _closed, tests the conjugation closure on the stack of children, each
-keeping R_u in column u.  A leaf is a quandle by construction (see run) with
-the target profile; the connected ones are the hits.  The backtracking nodes
-of a search are counted against _WORK_BOUND, and the work and survivors of
-each stage are reported.
+derives the block's translations as gathers by powers of R_1.  No check
+follows: a child keeps R_u in column u and passes the conjugation closure
+R_(v*u) = R_u R_v R_u^-1 on every assigned pair.  R_1 is an automorphism of
+the partial table (the block's columns are R_1^k g R_1^-k, and the older
+columns passed their pairs with R_1), so every pair a level adds is
+conjugate by a power of R_1 to one where n_i, the block's last label, is u,
+v or v*u; generators propagates the first, forces or commutes the second,
+and forces g = R_u R_v R_u^-1 for the third, u and v assigned.  A leaf is a
+quandle by construction (see run) with the target profile; the connected
+ones are the hits.  The backtracking nodes of a search are counted against
+_WORK_BOUND, and the work and survivors of each stage are reported.
 
 naive_connected_quandles is the independent reference for tiny orders: plain
 depth-first assignment of columns with direct axiom checks, sharing nothing
@@ -118,46 +123,6 @@ def _candidate_count(n: int, lengths) -> int:
     return factorial(n - 1) // prod(x for x in lengths if x > 1)
 
 
-# _closed tests a stack's pairs in slices of tables whose (tables x n x
-# pairs) gathers hold at most this many elements, so the index arrays stay
-# small however many tables and pairs a tree level has
-_CLOSED_ELEMENTS = 1 << 16
-
-
-def _closed(tables: np.ndarray, labels, new=None) -> np.ndarray:
-    """Indices of the partial tables in a stack that satisfy the conjugation
-    closure on `labels`.
-
-    tables is a (B, n, n) stack whose column u is the translation R_u for
-    every u in labels; no other column is read as a translation.  Table b is
-    kept when R_(v*u) = R_u R_v R_u^-1 for all u, v in labels with v*u in
-    labels.  The relation is compared pointwise as (y*u)*(v*u) = (y*v)*u for
-    every y, which needs no inverse.  Every pair (v, u) that some table tests
-    is taken in one gather of both sides, a slice of tables at a time (see
-    _CLOSED_ELEMENTS).  With `new` given, the tables are taken to pass the
-    closure on the other labels already, and only the pairs with u, v or v*u
-    in `new` are tested.
-    """
-    labels = np.asarray(labels)
-    inside, fresh = np.zeros((2, tables.shape[1]), dtype=bool)
-    inside[labels] = True
-    fresh[labels if new is None else list(new)] = True
-    v_u = tables[:, labels[:, None], labels]  # (B, V, U): v*u, no larger than the stack
-    test = inside[v_u] & (fresh[labels, None] | fresh[labels] | fresh[v_u])
-    iv, iu = np.nonzero(test.any(axis=0))  # the pairs some table tests
-    v, u = labels[iv], labels[iu]
-    v_u, skip = v_u[:, iv, iu], ~test[:, iv, iu]  # (B, P)
-    step = max(1, _CLOSED_ELEMENTS // (tables.shape[1] * max(len(u), 1)))
-    ok = np.ones(len(tables), dtype=bool)
-    for s in range(0, len(tables), step):
-        t, cut = tables[s : s + step], slice(s, s + step)
-        b = np.arange(len(t))[:, None, None]
-        lhs = t[b, t[:, :, u], v_u[cut, None]]  # (B, n, P): (y*u)*(v*u)
-        rhs = t[b, t[:, :, v], u]  # (B, n, P): (y*v)*u
-        ok[cut] = ((lhs == rhs) | skip[cut, None]).all(axis=(1, 2))
-    return np.flatnonzero(ok)
-
-
 class _Searcher:
     def __init__(self, lengths: tuple[int, ...]):
         self.lengths = lengths
@@ -171,7 +136,7 @@ class _Searcher:
         self.block_len = np.array(_label_block_lengths(lengths))
         self.work = [0] * (len(lengths) - 1)  # backtracking nodes per level
         self.unary = [0] * (len(lengths) - 1)  # generators found per level
-        self.leaves = 0  # full tables that pass _closed
+        self.leaves = 0  # full tables reached, each a quandle
 
     def block_columns(self, level: int, gens: np.ndarray) -> np.ndarray:
         """The translations of block level + 2 for each generator g in gens,
@@ -190,13 +155,17 @@ class _Searcher:
         g fixes n_i = hi - 1 only.  For assigned u != 1, w = R_u(n_i) gives
         R_w = R_u g R_u^-1: with w assigned, g = R_u^-1 R_w R_u is forced;
         with w = R_1^k(n_i) in the block, g commutes with h = R_1^-k R_u, as
-        with s = R_1^l.  Each value is propagated to a fixpoint through
+        with s = R_1^l.  When v = R_u^-1(n_i) is assigned, v*u = n_i forces
+        g = R_u R_v R_u^-1.  Each value is propagated to a fixpoint through
         g h = h g and g(R_v(y)) = R_(g(v))(g(y)) for v < n_i with g(v) < hi
         (the closure at u = n_i), R_v in the block read as R_1^k g R_1^-k.
-        Branches go to label 1, the block, the other assigned labels, then
-        the rest.  A branch ends when g is not injective, breaks the lcm
-        rule, closes a cycle whose length is not an unused one of the
-        profile, or has an open path longer than every unused length.
+        Up to conjugation by powers of R_1 these are all the pairs the block
+        adds (see the module docstring), so the child of every generator
+        passes the closure on all labels below hi.  Branches go to label 1,
+        the block, the other assigned labels, then the rest.  A branch ends
+        when g is not injective, breaks the lcm rule, closes a cycle whose
+        length is not an unused one of the profile, or has an open path
+        longer than every unused length.
         """
         n, lengths = self.n, self.lengths[1:]
         lo, hi = self.ns[level + 1], self.ns[level + 2]
@@ -212,6 +181,10 @@ class _Searcher:
                 forced += [(y, ru.index(rw[ru[y]])) for y in range(n)]
             elif w < hi:  # g commutes with R_1^-k R_u
                 commute.append([r[lo - 1 - w][x] for x in cols[u]])
+            v = cols[u].index(hi - 1)
+            if v < lo:  # v*u = n_i: g = R_u R_v R_u^-1
+                ru, rv = cols[u], cols[v]
+                forced += [(ru[y], ru[rv[y]]) for y in range(n)]
 
         # R_v = through[v] for v < hi: (R_v, None) assigned, or (R_1^-k, R_1^k)
         # in the block, k = v - lo + 1, read as R_1^k g R_1^-k
@@ -300,12 +273,13 @@ class _Searcher:
         return np.array(found, dtype=np.int8).reshape(-1, n)
 
     def run(self):
-        """Depth-first over generator choices; returns the hits.  A child is
-        kept when it passes _closed on the pairs its block adds, so a leaf
-        passes the closure on all labels, which is right distributivity, and
-        its columns are bijections fixing their own labels: it is a quandle
-        by construction, kept when connected.  Pruning in generators changes
-        only the counts."""
+        """Depth-first over generator choices; returns the hits.  Every child
+        passes the closure on the pairs its block adds, as generators forces
+        or propagates each of them, so a leaf passes the closure on all
+        labels, which is right distributivity, and its columns are
+        bijections fixing their own labels: it is a quandle by construction,
+        kept when connected.  Pruning in generators changes only the
+        counts."""
         found: list[QuandleTable] = []
 
         def descend(level: int, table: np.ndarray):
@@ -316,7 +290,7 @@ class _Searcher:
             blocks = self.block_columns(level, gens)
             stack = np.repeat(table[None], len(blocks), axis=0)
             stack[:, :, lo:hi] = blocks
-            for child in stack[_closed(stack, range(hi), range(lo, hi))]:
+            for child in stack:
                 if hi < self.n:
                     descend(level + 1, child)
                     continue

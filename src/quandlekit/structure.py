@@ -327,13 +327,8 @@ def _pair_key(t: list[list[int]]) -> tuple[int, ...] | None:
     """
     n = len(t)
     cycles: dict[int, list[int]] = {}  # cycle length of R_0 -> one y per cycle
-    seen = [False] * n
-    for y in range(1, n):
-        size, z = 0, y
-        while not seen[z]:
-            seen[z], z, size = True, t[z][0], size + 1
-        if size:
-            cycles.setdefault(size, []).append(y)
+    for cyc in _cycles([row[0] for row in t])[1:]:
+        cycles.setdefault(len(cyc), []).append(cyc[0])
     if set(cycles) == {1}:  # R_0 is the identity, so all R_x are: Q is trivial
         return None
 

@@ -471,6 +471,16 @@ class TestQuandleTable:
             QuandleTable.from_rows([(1, 1), (1, 2)])
         assert exc.value.result.error == "RightInvertibilityViolation"
 
+    def test_array_is_a_read_only_copy(self):
+        # from rows, and from an integer array, which validation reads without
+        # a copy: the stored table is its own 0-based int32 array
+        rows = np.array(Q94_ROWS, dtype=np.int64)
+        for source in (Q94_ROWS, rows):
+            q = QuandleTable.from_rows(source)
+            assert q.array.dtype == np.int32 and not q.array.flags.writeable
+            assert (q.array == rows - 1).all()
+            assert not np.shares_memory(q.array, rows)
+
     def test_equality_and_hash(self, q94):
         again = QuandleTable.from_rows(Q94_ROWS)
         assert q94 == again and hash(q94) == hash(again)
@@ -525,9 +535,10 @@ class TestFromTranslations:
 
     def test_valid_translations_are_not_revalidated(self, monkeypatch, shq_fixtures):
         calls = []
-        real = core.validate_quandle
+        # validate_quandle and QuandleTable(rows) both validate through _validated
+        real = core._validated
         monkeypatch.setattr(
-            core, "validate_quandle", lambda rows: calls.append(len(rows)) or real(rows)
+            core, "_validated", lambda rows: calls.append(len(rows)) or real(rows)
         )
         for name, q in shq_fixtures:
             assert from_translations(translations(q)) == q, name

@@ -220,10 +220,8 @@ class TestKnownProfiles:
     def test_hits_are_not_validated(self, monkeypatch):
         assert not hasattr(search, "validate_quandle")
         calls = []
-        for module in (core, search):
-            monkeypatch.setattr(
-                module, "validate_quandle", lambda *a: calls.append(a), raising=False
-            )
+        for module, name in ((core, "_validated"), (search, "validate_quandle")):
+            monkeypatch.setattr(module, name, lambda *a: calls.append(a), raising=False)
         assert len(search_by_profile(SearchSpec((1, 2, 6))).quandles) == 6
         assert calls == []
 
@@ -250,6 +248,21 @@ class TestSettledProfiles:
         res = search_by_profile(SearchSpec((1, 2, 3, 6)))
         assert len(res.quandles) == 6 and len(res.iso_classes) == 1
         assert res.stats.per_generator_nodes == (19, 159, 6)
+
+    @pytest.mark.parametrize(
+        "lengths, hits, classes",
+        [((1, 2, 3, 6), 6, 1), ((1, 3, 4, 12), 24, 2), ((1, 2, 7, 14), 28, 2)],
+        ids=str,
+    )
+    def test_product_relation_hits_validate(self, lengths, hits, classes):
+        # these profiles have tree nodes with assigned u, v whose v*u is the
+        # block's n_i, where generators forces g = R_u R_v R_u^-1; the search
+        # checks no relation after generators, so every hit is validated here
+        res = search_by_profile(SearchSpec(lengths))
+        assert (len(res.quandles), len(res.iso_classes)) == (hits, classes)
+        for q in res.quandles:
+            assert validate_quandle(q.rows).ok, lengths
+            assert profile(q).connected_form.lengths == lengths
 
     @pytest.mark.parametrize("lengths", SETTLED_STATS, ids=str)
     def test_pinned_work(self, lengths):

@@ -332,9 +332,10 @@ class TestDerivedTablesSkipValidation:
         random.Random(31).shuffle(image)
         q = relabel(shq_family(3, 4), Permutation(image))
         calls = []
-        real = core.validate_quandle
+        # validate_quandle and QuandleTable(rows) both validate through _validated
+        real = core._validated
         monkeypatch.setattr(
-            core, "validate_quandle", lambda rows: calls.append(len(rows)) or real(rows)
+            core, "_validated", lambda rows: calls.append(len(rows)) or real(rows)
         )
         assert verify_main_theorem(q).all_passed
         assert fix_block_report(q).passed

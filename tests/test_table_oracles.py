@@ -14,15 +14,15 @@ power tables, compared on relabelled SHQs and on the copies that still
 classify as SHQs; the power and orbit kernels are compared with
 `Permutation.__pow__` and `reference_orbits`.
 
-The search's batched conjugation-closure check `_closed` is compared the same
-way with `reference_closed`, the loop over permutation tuples the search ran
-before, on stacks of candidate tables built by `partial_tables`, and with
-`reference_closed_pairs`, the same relation pair by pair with the `new`
-filter, on random partial stacks taken a few tables per slice.
+The search checks the conjugation closure only by propagation inside
+`_Searcher.generators`.  `batched_closed`, the batched check it ran on each
+tree level before, stays here as an oracle: it is compared with
+`reference_closed`, the loop over permutation tuples the search ran before
+that, on stacks of candidate tables built by `partial_tables`.
 `reference_unary_survivors` is the unary filter as it ran before the search
 found each block's generators by backtracking: every candidate generator,
 unranked a slice of rows at a time by `candidate_slices`, then the commute,
-lcm and `_closed` filters on its partial table.  The search keeps the
+lcm and `batched_closed` filters on its partial table.  The search keeps the
 backtracking's leaves with no check of its own, so this is the test that
 pins them.  The unranking is compared with `reference_cycle_candidates`,
 the recursion that wrote the candidates one row at a time before it.
@@ -109,11 +109,11 @@ from quandlekit import (
     validate_quandle,
     verify_main_theorem,
 )
-from quandlekit import construct, core, search
+from quandlekit import construct, core
 from quandlekit.core import _close_mask, _column_powers
 from quandlekit.limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
 from quandlekit.shq import CheckOutcome, _block_bounds
-from quandlekit.search import _candidate_count, _closed, _Searcher
+from quandlekit.search import _candidate_count, _Searcher
 from quandlekit.structure import _orbit_minima
 from conftest import (
     ACCEPTED_PROFILES,
@@ -320,6 +320,25 @@ def reference_closed(table, labels) -> bool:
     return True
 
 
+def batched_closed(tables: np.ndarray, labels) -> np.ndarray:
+    """Indices of the tables in a (B, n, n) stack that satisfy the
+    conjugation closure on labels: R_(v*u) = R_u R_v R_u^-1 for all u, v in
+    labels with v*u in labels, compared pointwise as (y*u)*(v*u) = (y*v)*u,
+    which needs no inverse.  Column u of each table is R_u for u in labels;
+    no other column is read as a translation.  All pairs of all tables are
+    taken in one gather of each side."""
+    labels = np.asarray(labels)
+    inside = np.zeros(tables.shape[1], dtype=bool)
+    inside[labels] = True
+    b = np.arange(len(tables))[:, None, None, None]
+    cols = tables[:, :, labels]  # (B, n, L): y*u
+    v_u = tables[:, labels[:, None], labels]  # (B, V, U): v*u
+    lhs = tables[b, cols[:, :, None, :], v_u[:, None]]  # (B, n, V, U): (y*u)*(v*u)
+    rhs = tables[b, cols[:, :, :, None], labels]  # (B, n, V, U): (y*v)*u
+    ok = (lhs == rhs) | ~inside[v_u][:, None]
+    return np.flatnonzero(ok.all(axis=(1, 2, 3)))
+
+
 def reference_cycle_candidates(n: int, lengths, fixed: int) -> np.ndarray:
     """All 0-based images with cycle type `lengths` whose unique fixed point
     is `fixed`, one per row, written by a recursion over the cycles."""
@@ -445,12 +464,12 @@ def partial_tables(searcher: _Searcher, level: int, gens: np.ndarray) -> np.ndar
 def reference_unary_survivors(searcher: _Searcher, level: int) -> np.ndarray:
     """The translations (K, n, l) of block level + 2 that pass the unary
     filter, found by filtering every candidate generator: reference_generators,
-    then _closed on the block and R_1."""
+    then batched_closed on the block and R_1."""
     lo, hi = searcher.ns[level + 1], searcher.ns[level + 2]
     keep = []
     for cand in reference_generators(searcher, level):
         tables = partial_tables(searcher, level, cand)
-        keep.append(tables[_closed(tables, [*range(lo, hi), 0])][:, :, lo:hi])
+        keep.append(tables[batched_closed(tables, [*range(lo, hi), 0])][:, :, lo:hi])
     return np.concatenate(keep)
 
 
@@ -806,7 +825,7 @@ class LevelSearcher(_Searcher):
 
     generators(level) sees only R_1 and its own block, prepare keeps each
     block's unary survivors once, and run combines them depth-first, with
-    _closed on all the labels of each prefix.  It is the oracle for the
+    batched_closed on all the labels of each prefix.  It is the oracle for the
     node-wise generators and hits of _Searcher.
     """
 
@@ -910,7 +929,7 @@ class LevelSearcher(_Searcher):
             checked += len(blocks)
             stack = np.repeat(table[None], len(blocks), axis=0)
             stack[:, :, lo:hi] = blocks
-            for child in stack[_closed(stack, range(hi))]:
+            for child in stack[batched_closed(stack, range(hi))]:
                 if hi < self.n:
                     descend(level + 1, child)
                 elif is_connected(q := QuandleTable._from_array(child)):
@@ -973,78 +992,14 @@ def closure_stacks(draw):
     return stack, labels
 
 
-def reference_closed_pairs(table, labels, new=None) -> bool:
-    """The closure on labels in plain Python, one pair at a time: for u, v in
-    labels with t = v*u in labels, and u, v or t in new when new is given,
-    R_t(x) = R_u(R_v(R_u^-1(x))) at every x.  Column u of table is R_u."""
-    n = len(table)
-    cols = {u: [int(x) for x in table[:, u]] for u in labels}
-    fresh = set(labels if new is None else new)
-    for u in labels:
-        ru, ru_inv = cols[u], [0] * n
-        for x, y in enumerate(ru):
-            ru_inv[y] = x
-        for v in labels:
-            t = ru[v]
-            if t not in cols or not fresh & {u, v, t}:
-                continue
-            if any(cols[t][x] != ru[cols[v][ru_inv[x]]] for x in range(n)):
-                return False
-    return True
-
-
-@st.composite
-def partial_stacks(draw):
-    """(stack, labels, new) for _closed: up to 6 tables of order 2 to 8
-    whose columns in labels are permutations, and 2 or more labels in a
-    random order.  A table is a relabelled SMALL quandle, which passes on
-    every label set, possibly with one column in labels replaced, or random:
-    permutations in labels and arbitrary entries elsewhere.  new is None, or
-    some of labels."""
-    n = draw(st.integers(2, 8))
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
-    bank = [q for q in SMALL if q.n == n]
-    tables = []
-    for _ in range(draw(st.integers(0, 6))):
-        if bank and draw(st.booleans()):
-            table = draw(relabelled(bank)).array.astype(np.int8)
-        else:
-            entries = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
-            table = np.array(draw(entries), dtype=np.int8).reshape(n, n)
-            for u in labels:
-                table[:, u] = draw(st.permutations(range(n)))
-        if draw(st.booleans()):
-            table[:, draw(st.sampled_from(labels))] = draw(st.permutations(range(n)))
-        tables.append(table)
-    stack = np.array(tables, dtype=np.int8).reshape(-1, n, n)
-    new = draw(st.none() | st.lists(st.sampled_from(labels), min_size=1, unique=True))
-    return stack, labels, new
-
-
-def last_u_case():
-    """(stack, labels) whose one table fails the closure only at the last
-    label u = 1.  At u = 0 the pair v = 0 holds trivially and 1*0 = 2 is
-    outside the labels; at u = 1, 0*1 = 0, and R_0 and R_1 do not commute."""
-    table = np.array([[0, 0, 0, 0], [2, 1, 1, 1], [1, 3, 2, 2], [3, 2, 3, 3]], dtype=np.int8)
-    return table[None], [0, 1]
-
-
-def product_new_case():
-    """(stack, labels, new) whose one table fails the closure only at the
-    pair u = v = 1, tested because v*u = 2 is the new label: R_2 R_1 and
-    R_1 R_1 differ at 0.  Every other pair holds or leaves the labels."""
-    table = np.array([[0, 1, 1], [1, 2, 0], [2, 0, 2]], dtype=np.int8)
-    return table[None], [2, 1], [2]
-
-
 def outside_pairs_case():
     """(stack, labels) for the canonical table of shq_family(3, 3), profile
     (1,2,6), on the labels {0, 3..8} with its block-2 columns 1 and 2 zeroed.
 
     The closure holds, and 12 pairs (u, v) have v*u in the zeroed block, so
     only the exemption for v*u outside the labels keeps the table.  It is built
-    without _closed: closure_stacks takes its tables from the search's own
-    survivors, and yields none like it.
+    by hand: closure_stacks takes its tables from the search's own survivors,
+    and yields none like it.
     """
     table = canonical_relabel(shq_family(3, 3))[0].array.copy()
     table[:, 1:3] = 0
@@ -1058,36 +1013,7 @@ class TestSearchClosure:
     def test_batched_matches_reference(self, case):
         stack, labels = case
         want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
-        assert _closed(stack, labels).tolist() == want
-
-    @settings(max_examples=150, deadline=None)
-    @given(closure_stacks(), st.integers(1, 10))
-    @example(outside_pairs_case(), 1)
-    def test_new_pairs_complete_the_earlier_check(self, case, cut):
-        """Labels split into earlier ones and new ones: the closure on the
-        earlier labels plus the pairs with u, v or v*u new is the closure on
-        all labels, as the search tree checks it one block at a time."""
-        stack, labels = case
-        old, new = labels[:cut], labels[cut:]
-        want = [b for b, table in enumerate(stack) if reference_closed(table, labels)]
-        got = set(_closed(stack, old).tolist()) & set(_closed(stack, labels, new).tolist())
-        assert sorted(got) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(partial_stacks(), st.sampled_from([1, 5, 64, search._CLOSED_ELEMENTS]))
-    @example((np.zeros((0, 3, 3), dtype=np.int8), [0, 2, 1], None), 1)
-    @example((np.zeros((0, 3, 3), dtype=np.int8), [0, 2, 1], [2]), 1)
-    @example((*last_u_case(), None), 1)
-    @example((*last_u_case(), [1]), search._CLOSED_ELEMENTS)
-    @example((np.repeat(last_u_case()[0], 5, axis=0), [0, 1], [0]), 5)
-    @example(product_new_case(), 1)
-    def test_matches_pairwise_reference(self, case, budget):
-        """With the budget patched below one table's gather, every table is
-        a slice of its own; at 64 elements a slice holds a few."""
-        stack, labels, new = case
-        want = [b for b, t in enumerate(stack) if reference_closed_pairs(t, labels, new)]
-        with patch.object(search, "_CLOSED_ELEMENTS", budget):
-            assert _closed(stack, labels, new).tolist() == want
+        assert batched_closed(stack, labels).tolist() == want
 
 
 class NodeRecorder(_Searcher):
@@ -1114,16 +1040,17 @@ def closure_on_pairs(table: np.ndarray, pairs, hi: int) -> bool:
 
 class TestNodeGenerators:
     # (1,2,3,6) is the smallest profile with an assigned u whose R_u(n_i) is
-    # assigned, forcing a generator
+    # assigned, forcing a generator, and with assigned u, v whose v*u is n_i
     @pytest.mark.parametrize("lengths", [*ACCEPTED_PROFILES, (1, 2, 3, 6)], ids=str)
     def test_node_generators_match_level_oracle(self, lengths):
         """At every tree node, the generators are the level's unary survivors
         whose child table passes the closure on the pairs the assigned columns
-        give with n_i: (n_i, v) for v < hi and (u, n_i) for u < lo.  So they
-        are a subset of the survivors, the root's are all of them (which
-        TestUnarySurvivors pins to reference_unary_survivors), and none is
-        lost whose child passes _closed on all its labels.  The hits are the
-        oracle's."""
+        give with n_i: (n_i, v) for v < hi, (u, n_i) for u < lo, and (u, v)
+        for u, v < lo with v*u = n_i.  These are exactly the survivors whose
+        child passes the closure on all its labels, so the search needs no
+        check of its own after generators.  The generators are a subset of
+        the survivors, the root's are all of them (which TestUnarySurvivors
+        pins to reference_unary_survivors), and the hits are the oracle's."""
         oracle = prepared(lengths)
         search = NodeRecorder(lengths)
         hits = search.run()
@@ -1138,11 +1065,12 @@ class TestNodeGenerators:
             children = np.repeat(table[None], len(ref), axis=0)
             children[:, :, lo:hi] = ref
             pairs = [(hi - 1, v) for v in range(hi)] + [(u, hi - 1) for u in range(lo)]
+            pairs += [(u, v) for u in range(lo) for v in range(lo) if table[v, u] == hi - 1]
             exact = {bytes(b) for b, t in zip(ref, children) if closure_on_pairs(t, pairs, hi)}
-            closed = set(map(bytes, ref[_closed(children, range(hi))]))
+            closed = set(map(bytes, ref[batched_closed(children, range(hi))]))
             assert set(got) <= set(map(bytes, ref)), level
-            assert closed <= set(got), level
             assert set(got) == exact, level
+            assert set(got) == closed, level
             if level == 0:
                 assert sorted(got) == sorted(map(bytes, ref))
 
