@@ -45,7 +45,7 @@ from .core import (
 )
 from .errors import ParamOutOfRange, RepeatedLengthsUnsupported, SizeLimitExceeded
 from .limits import DEFAULT_SEARCH_CAP, resolve_cap
-from .structure import _cycle_lengths, _group_isomorphic, is_connected
+from .structure import _group_isomorphic, is_connected
 
 # A search that needs more backtracking nodes (calls of the generators'
 # branch, over all tree nodes) is refused; the count is deterministic.  Of
@@ -325,7 +325,9 @@ def search_by_profile(
     quandles = tuple(sorted(found, key=lambda q: q.array.tolist()))
     iso_classes: tuple[tuple[int, ...], ...] = ()
     if dedup:
-        types = [_cycle_lengths(q) for q in quandles]
+        # a hit is connected and its R_1 has the profile's type, so every
+        # column has that type (the translations of an orbit are conjugate)
+        types = [[spec.lengths] * spec.order] * len(quandles)
         groups = _group_isomorphic(quandles, types, range(len(quandles)))
         iso_classes = tuple(tuple(members) for members in groups.values())
 

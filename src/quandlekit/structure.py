@@ -158,6 +158,8 @@ def _closed_orbits(tbl: np.ndarray) -> list[np.ndarray]:
     labels = np.arange(n)
     for orbit in out:  # grows while it is walked
         first = orbit[0]
+        if first.all():  # the whole table: nothing to grow
+            continue
         low = _orbit_minima(tbl[:, first])
         for e in np.flatnonzero((low == labels) & ~first):
             grown = first.copy()

@@ -217,6 +217,17 @@ class TestKnownProfiles:
                 assert is_connected(q), lengths
                 assert profile(q).connected_form.lengths == lengths
 
+    def test_every_column_has_the_profile_type(self):
+        # the grouping takes each hit's column types from the profile: the
+        # hits are connected, so every column is conjugate to R_1; each
+        # column is also walked on its own here
+        from quandlekit.structure import _cycle_lengths
+
+        for lengths in ACCEPTED_PROFILES:
+            for q in search_by_profile(SearchSpec(lengths), dedup=False).quandles:
+                walked = [tuple(sorted(map(len, core._cycles(col)))) for col in q.array.T.tolist()]
+                assert _cycle_lengths(q) == walked == [lengths] * q.n, lengths
+
     def test_hits_are_not_validated(self, monkeypatch):
         assert not hasattr(search, "validate_quandle")
         calls = []

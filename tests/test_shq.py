@@ -1,9 +1,12 @@
 """SHQ detection, canonical form, and the structure-theorem checks."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandlekit import (
     NotAPartition,
@@ -13,6 +16,7 @@ from quandlekit import (
     ParamOutOfRange,
     Permutation,
     QuandleTable,
+    SubquandleEntry,
     affine_quandle,
     are_isomorphic,
     canonical_relabel,
@@ -21,15 +25,19 @@ from quandlekit import (
     check_profile_admissible,
     classify_shq,
     decomposition_of,
+    enumerate_subquandles,
     fix_block_report,
     fix_blocks,
     predicted_profile,
+    profile,
     right_translation,
     shq_lengths,
+    validate_quandle,
     verify_main_theorem,
     ShqParams,
 )
-from conftest import cyclic_type_quandle, dihedral_quandle, relabel, trivial_quandle
+from quandlekit import shq
+from conftest import SHQS, cyclic_type_quandle, dihedral_quandle, relabel, trivial_quandle
 
 
 class TestShqParams:
@@ -384,6 +392,9 @@ class TestLcmDivisibility:
         assert list(check.violations) == naive == []
 
 
+SHQS_REPORTS = [verify_main_theorem(q).as_dict() for q in SHQS]
+
+
 class TestMainTheorem:
     def test_golden(self, q94):
         report = verify_main_theorem(q94)
@@ -418,6 +429,106 @@ class TestMainTheorem:
         image = list(range(1, 10))
         rng.shuffle(image)
         assert verify_main_theorem(relabel(q94, Permutation(image))).all_passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_report_does_not_depend_on_the_labels(self, data):
+        i = data.draw(st.integers(0, len(SHQS) - 1))
+        q = SHQS[i]
+        f = Permutation(data.draw(st.permutations(range(1, q.n + 1))))
+        assert verify_main_theorem(relabel(q, f)).as_dict() == SHQS_REPORTS[i]
+
+
+class TestSubquandleClauseFailures:
+    """The subquandles clause on q94, whose inventory lists the order-3
+    closed sets as entries 9, 10 and 11 of class 9, with doctored copies of
+    that inventory, and on an unchecked table whose prefix escapes."""
+
+    @staticmethod
+    def clause(q, inventory):
+        return shq._verify(q, profile(q), None, inventory).checks[-1]
+
+    @staticmethod
+    def doctored(q, **changes):
+        """q's inventory with entry k replaced as changes[f"e{k}"] says;
+        None drops the entry."""
+        inventory = enumerate_subquandles(q)
+        entries = [changes.get(f"e{k}", e) for k, e in enumerate(inventory.entries)]
+        return replace(inventory, entries=tuple(e for e in entries if e is not None))
+
+    def test_inventory_as_enumerated_passes(self, q94):
+        entries = enumerate_subquandles(q94).entries
+        assert [(e.order, e.iso_class) for e in entries[9:12]] == [(3, 9)] * 3
+        check = self.clause(q94, enumerate_subquandles(q94))
+        assert check.passed and check.detail == "non-trivial proper classes at orders [3]"
+
+    def test_entry_of_a_non_prefix_order(self, q94):
+        inventory = enumerate_subquandles(q94)
+        extra = SubquandleEntry((1, 2, 3, 4), 4, profile(trivial_quandle(4)), 13)
+        inventory = replace(inventory, entries=inventory.entries + (extra,))
+        check = self.clause(q94, inventory)
+        assert not check.passed and check.detail == "unexpected subquandle order 4"
+
+    def test_entry_with_a_wrong_profile(self, q94):
+        entry = enumerate_subquandles(q94).entries[10]
+        wrong = replace(entry, profile=profile(trivial_quandle(3)))
+        check = self.clause(q94, self.doctored(q94, e10=wrong))
+        assert not check.passed
+        assert check.detail == "order 3 has profile [(1^3)], predicted (1, 2)"
+
+    def test_two_classes_at_a_prefix_order(self, q94):
+        entry = enumerate_subquandles(q94).entries[11]
+        check = self.clause(q94, self.doctored(q94, e11=replace(entry, iso_class=11)))
+        assert not check.passed and check.detail == "order 3: 2 classes, predicted 1"
+
+    def test_no_class_at_a_prefix_order(self, q94):
+        check = self.clause(q94, self.doctored(q94, e9=None, e10=None, e11=None))
+        assert not check.passed and check.detail == "order 3: 0 classes, predicted 1"
+
+    def test_every_failure_is_noted(self, q94):
+        entries = enumerate_subquandles(q94).entries
+        wrong = profile(trivial_quandle(3))
+        check = self.clause(q94, self.doctored(
+            q94,
+            e9=replace(entries[9], profile=wrong),
+            e10=replace(entries[10], order=4),
+            e11=replace(entries[11], iso_class=11),
+        ))
+        assert not check.passed
+        assert check.detail.split("; ") == [
+            "order 3 has profile [(1^3)], predicted (1, 2)",
+            "unexpected subquandle order 4",
+            "order 3: 2 classes, predicted 1",
+        ]
+
+    def test_notes_follow_the_listing(self, q94):
+        entries = enumerate_subquandles(q94).entries
+        inventory = self.doctored(
+            q94,
+            e9=replace(entries[9], profile=profile(trivial_quandle(3))),
+            e11=replace(entries[11], profile=profile(cyclic_type_quandle(2, 2))),
+        )
+        notes = [
+            "order 3 has profile [(1^3)], predicted (1, 2)",
+            "order 3 has profile (1, 3), predicted (1, 2)",
+        ]
+        assert self.clause(q94, inventory).detail.split("; ") == notes
+        backwards = replace(inventory, entries=inventory.entries[::-1])
+        assert self.clause(q94, backwards).detail.split("; ") == notes[::-1]
+
+    def test_prefix_that_escapes(self, q94):
+        # R_2 conjugated by the transposition (2 5) keeps its cycle type and
+        # R_1 stays canonical, but 2 * 2 = 4 = n_2 + 1 is the one product of
+        # X_2 = {1, 2, 3} outside it; the prefix is read off the table,
+        # whatever the inventory lists
+        tbl = q94.array.copy()
+        swap = np.array([0, 4, 2, 3, 1, 5, 6, 7, 8])
+        tbl[:, 1] = swap[tbl[swap, 1]]
+        bad = QuandleTable._from_array(tbl)
+        assert bad.array[:3, :3].tolist() == [[0, 2, 1], [2, 3, 0], [1, 0, 2]]
+        assert not validate_quandle(bad.rows).ok
+        check = self.clause(bad, enumerate_subquandles(q94))
+        assert not check.passed and check.detail == "prefix X_2 is not closed"
 
 
 class TestTranslationSharing:
