@@ -43,7 +43,7 @@ def _one_int(part: str) -> int:
 def _emit_json(payload: dict, out: str | None) -> None:
     blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out).write_text(blob)
+        Path(out).write_bytes(blob.encode())
     else:
         sys.stdout.write(blob)
 
@@ -148,6 +148,7 @@ def cmd_construct(args) -> int:
     from .construct import (
         GaloisField,
         _capped_order,
+        _galois_table,
         affine_quandle,
         galois_affine_quandle,
         shq_family,
@@ -164,9 +165,7 @@ def cmd_construct(args) -> int:
     else:  # cyclic: multiplier is a generator of the field's unit group
         _capped_order(args.p, args.a, args.max_order)
         field = GaloisField(args.p, args.a)
-        q = galois_affine_quandle(
-            args.p, args.a, field.multiplicative_generator(), max_order=args.max_order
-        )
+        q = _galois_table(field, field.multiplicative_generator())
     write_qdl(q, args.out)
     print(f"profile: {profile(q)}")
     return 0

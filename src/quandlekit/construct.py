@@ -79,10 +79,24 @@ def _capped_order(p: int, a: int, max_order: int | None) -> int:
     return order
 
 
+def _digit_sums(base: int, digits: int) -> np.ndarray:
+    """S[u, v] for u, v < base**digits: u + v added digit by digit mod base."""
+    x = np.arange(base**digits)
+    sums = np.zeros((x.size, x.size), dtype=np.int32)
+    for d in range(digits):
+        place = base**d
+        sums += np.add.outer(x // place % base, x // place % base) % base * place
+    return sums
+
+
 def _affine_table(hx: np.ndarray, ky: np.ndarray, base: int, digits: int) -> QuandleTable:
     """The table hx[x] + ky[y] of encodings sum(c_i * base^i), added digit
     by digit mod base: one digit mod m for Z_m, a digits mod p for the
-    additive group of GF(p^a).  In place, in two int32 n x n arrays.
+    additive group of GF(p^a).  Z_m takes one int32 add and mod.  Two or
+    more digits are split at cut = base^(digits // 2), and each half is
+    read from a table of digit-wise sums, HI of the high halves (scaled by
+    cut) and LO of the low ones, with sides base^ceil(digits/2) and
+    base^floor(digits/2): two n x n gathers.
 
     hx and ky are x -> h*x and y -> (1-h)*y for a unit h, so the table is a
     quandle by construction and is wrapped unchecked: x*x = x, column y is
@@ -90,14 +104,13 @@ def _affine_table(hx: np.ndarray, ky: np.ndarray, base: int, digits: int) -> Qua
     distributive, both sides of (x*y)*z = (x*z)*(y*z) being
     h^2 x + h(1-h) y + (1-h) z.
     """
-    table = np.zeros((len(hx), len(ky)), dtype=np.int32)
-    cell = np.empty_like(table)
-    for d in range(digits):
-        place = base**d
-        np.add.outer(hx // place % base, ky // place % base, out=cell)
-        np.remainder(cell, base, out=cell)
-        cell *= place
-        table += cell
+    if digits == 1:
+        table = np.add.outer(hx.astype(np.int32), ky.astype(np.int32))
+        np.remainder(table, base, out=table)
+    else:
+        cut = base ** (digits // 2)
+        table = (_digit_sums(base, digits - digits // 2) * cut)[np.ix_(hx // cut, ky // cut)]
+        table += _digit_sums(base, digits // 2)[np.ix_(hx % cut, ky % cut)]
     return QuandleTable._from_array(table)
 
 
@@ -285,7 +298,13 @@ def galois_affine_quandle(
         h = field.element(*_integers((multiplier,), "multiplier"))
     if len(h) != a:
         raise ParamOutOfRange(f"multiplier needs {a} integer coefficients, got {h}")
-    h = tuple(v % p for v in h)
+    return _galois_table(field, tuple(v % p for v in h))
+
+
+def _galois_table(field: GaloisField, h: tuple[int, ...]) -> QuandleTable:
+    """galois_affine_quandle on a field already built, for the reduced
+    coefficient tuple h; 0 and 1 raise DegenerateMultiplier."""
+    p, a = field.p, field.a
     if h == field.zero or h == field.one:
         raise DegenerateMultiplier(f"multiplier {field.encode(h)} gives no quandle structure")
     k = field.sub(field.one, h)

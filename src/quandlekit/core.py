@@ -644,28 +644,27 @@ def _pieces(data: bytes):
     return (data[i : i + _CHUNK] for i in range(0, len(data), _CHUNK))
 
 
-# _PLACES[p, L] is the place value of the digit p places before the last
-# digit of a token of L digits: 10**p, or 0 outside the token
-_PLACES = np.array([[10**p * (p < L) for L in range(10)] for p in range(9)], dtype=np.int32)
-
-
 def _scan(buf: np.ndarray, n: int, room: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Check and convert a block of body bytes that starts a line.
 
-    One set of byte masks gives the byte classes, the token starts and ends
-    and the token count of each b"\n"-ended line.  A line is flagged for a
-    byte other than an ASCII digit, space or tab, or "\r" before "\n"; for
-    a run of 10 or more digits; for a token count other than 0 or n; and as
-    row room + 1.  Lines of no tokens are blank and skipped.
+    One set of byte masks gives the token starts and ends and the token
+    count of each b"\n"-ended line.  A line is flagged for a byte other
+    than an ASCII digit, space or tab, or "\r" before "\n"; for a run of
+    10 or more digits; for a token count other than 0 or n; and as row
+    room + 1.  Lines of no tokens are blank and skipped.  The mask of other
+    bytes is built only when the digits, spaces and b"\n" do not fill the
+    block, and the 10-digit runs are looked for only when the longest
+    token has 10 digits or more.
 
     Returns (values, rows, lines, stop): the entries of the rows before
-    the first flagged line, n to a row, each read back from its token's
-    last digit; the index of each such row's line; and the number of lines
-    and of bytes before the first flagged line, or in the whole block when
-    none is flagged.  A flagged line need not be an error ('-1' is not):
-    the caller reads it on the scalar line path.
+    the first flagged line, n to a row, read back a place at a time from
+    each token's last digit; the index of each such row's line; and the
+    number of lines and of bytes before the first flagged line, or in the
+    whole block when none is flagged.  A flagged line need not be an error
+    ('-1' is not): the caller reads it on the scalar line path.
     """
-    digit = (buf - 48) < 10  # uint8 wraps below '0'
+    digits = buf - np.uint8(48)
+    digit = digits < 10  # uint8 wraps below '0'
     breaks = np.flatnonzero(buf == 10)
     change = np.empty(buf.size + 1, dtype=bool)  # token starts and ends
     change[0], change[-1] = digit[0], digit[-1]
@@ -673,18 +672,18 @@ def _scan(buf: np.ndarray, n: int, room: int) -> tuple[np.ndarray, np.ndarray, i
     edges = np.flatnonzero(change)
     starts, ends = edges[::2], edges[1::2]
     lens = ends - starts
+    longest = int(lens.max(initial=0))
     counts = np.diff(np.searchsorted(starts, breaks), prepend=0, append=starts.size)
     rows = np.flatnonzero(counts)
-    other = ~(digit | (buf == 32) | (buf == 9))
-    other[breaks] = False
-    crlf = breaks[buf[breaks - 1] == 13]
-    other[crlf[crlf > 0] - 1] = False
-    flags = [
-        np.searchsorted(breaks, np.flatnonzero(other)[:1]),
-        np.searchsorted(breaks, starts[np.flatnonzero(lens >= 10)[:1]]),
-        rows[counts[rows] != n][:1],
-        rows[room : room + 1],
-    ]
+    flags = [rows[counts[rows] != n][:1], rows[room : room + 1]]
+    if np.count_nonzero(digit) + np.count_nonzero(buf == 32) + breaks.size < buf.size:
+        other = ~(digit | (buf == 32) | (buf == 9))
+        other[breaks] = False
+        crlf = breaks[buf[breaks - 1] == 13]
+        other[crlf[crlf > 0] - 1] = False
+        flags.append(np.searchsorted(breaks, np.flatnonzero(other)[:1]))
+    if longest >= 10:
+        flags.append(np.searchsorted(breaks, starts[np.flatnonzero(lens >= 10)[:1]]))
     lines, stop = breaks.size, buf.size
     flagged = min((int(f[0]) for f in flags if f.size), default=None)
     if flagged is not None:
@@ -692,10 +691,13 @@ def _scan(buf: np.ndarray, n: int, room: int) -> tuple[np.ndarray, np.ndarray, i
         lines, stop = flagged, int(breaks[flagged - 1]) + 1 if flagged else 0
     k = rows.size * n
     last, lens = ends[:k] - 1, lens[:k]
-    digits = buf - np.uint8(48)
-    values = np.zeros(k, dtype=np.int32)
-    for p in range(int(lens.max(initial=0))):
-        values += digits[last - p] * _PLACES[p][lens]
+    values = digits[last].astype(np.int32)
+    for p in range(1, min(longest, 9)):  # the rows kept have no 10-digit token
+        # a token of p digits or fewer reads a byte before it (or at the
+        # block's end) and multiplies it by 0; the dtype keeps the product
+        # int32 under NumPy 1.x too, where uint8 * np.int32(100) is uint8
+        last -= 1
+        values += np.multiply(digits[last], lens > p, dtype=np.int32) * np.int32(10**p)
     return values.reshape(-1, n), rows, lines, stop
 
 
@@ -835,12 +837,22 @@ def parse_qdl(text: str) -> QuandleTable:
 
 
 def format_qdl(q: QuandleTable, comments: Iterable[str] = ()) -> str:
-    """Serialize to canonical .qdl text (optional leading comment lines)."""
-    out = [f"# {c}" for c in comments]
-    out.append(str(q.n))
-    labels = np.array([str(x) for x in range(1, q.n + 1)], dtype=object)
-    out.extend(map(" ".join, labels[q.array].tolist()))
-    return "\n".join(out) + "\n"
+    """Serialize to canonical .qdl text (optional leading comment lines).
+
+    The rows are one gather of label cells: cell x is the decimal of label
+    x + 1, right-aligned after NUL bytes, and a space.  Each row's last
+    space becomes b"\n", and the NUL bytes are dropped in one compress.
+    """
+    width = len(str(q.n)) + 1
+    labels = np.arange(1, q.n + 1)[:, None]
+    places = 10 ** np.arange(width - 2, -1, -1)
+    cells = np.zeros((q.n, width), dtype=np.uint8)
+    cells[:, :-1] = np.where(labels >= places, labels // places % 10 + 48, 0)
+    cells[:, -1] = 32
+    body = cells.view(f"V{width}").ravel()[q.array].view(np.uint8)
+    body[:, -1] = 10
+    head = "".join(f"# {c}\n" for c in comments) + f"{q.n}\n"
+    return head + body[body != 0].tobytes().decode("ascii")
 
 
 def read_qdl(path: str | Path) -> QuandleTable:
@@ -852,4 +864,7 @@ def read_qdl(path: str | Path) -> QuandleTable:
 
 
 def write_qdl(q: QuandleTable, path: str | Path, comments: Iterable[str] = ()) -> None:
-    Path(path).write_text(format_qdl(q, comments), encoding="utf-8")
+    """Write the .qdl text of format_qdl to path as UTF-8 bytes, with b"\n"
+    line ends on every platform.  A comment that is not valid Unicode (a
+    lone surrogate) raises UnicodeEncodeError before the file is opened."""
+    Path(path).write_bytes(format_qdl(q, comments).encode("utf-8"))

@@ -41,7 +41,7 @@ from .core import (
     _integers,
     _label_block_lengths,
     _power,
-    format_qdl,
+    write_qdl,
 )
 from .errors import ParamOutOfRange, RepeatedLengthsUnsupported, SizeLimitExceeded
 from .limits import DEFAULT_SEARCH_CAP, resolve_cap
@@ -367,18 +367,19 @@ def search_manifest(result: SearchResult, files: list[str] | None = None) -> dic
 
 
 def save_search_result(result: SearchResult, outdir) -> dict:
-    """Write one .qdl per table plus manifest.json; returns the manifest."""
+    """Write one .qdl per table (write_qdl) plus manifest.json, all as
+    bytes with b"\n" line ends; returns the manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     prof = "(" + ", ".join(map(str, result.spec.lengths)) + ")"
     files = []
     for idx, q in enumerate(result.quandles):
         name = f"q{idx:03d}.qdl"
-        (outdir / name).write_text(format_qdl(q, comments=(f"profile {prof}",)))
+        write_qdl(q, outdir / name, comments=(f"profile {prof}",))
         files.append(name)
     manifest = search_manifest(result, files)
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    (outdir / "manifest.json").write_bytes(
+        (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
     )
     return manifest
 

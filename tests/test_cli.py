@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,11 +154,18 @@ class TestAnalyze:
         main(["analyze", Q94, "--json", "--subquandles"])
         assert capsys.readouterr().out == first
 
-    def test_out_file(self, capsys, tmp_path):
+    def test_out_file(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "report.json"
         assert main(["analyze", Q94, "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
-        assert json.loads(target.read_text())["order"] == 9
+        report = json.loads(target.read_text())
+        assert report["order"] == 9
+        # written as bytes, not in text mode: the file is the --json text
+        monkeypatch.setattr(Path, "write_text", None)
+        assert main(["analyze", Q94, "--out", str(target)]) == 0
+        assert target.read_bytes() == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        assert main(["analyze", Q94, "--json"]) == 0
+        assert target.read_bytes() == capsys.readouterr().out.encode()
 
     def test_max_order_forwarded(self, capsys):
         assert main(["analyze", Q94, "--subquandles", "--max-order", "5"]) == 2
@@ -300,6 +308,17 @@ class TestConstruct:
         assert code == 0
         assert capsys.readouterr().out == "profile: (1, 8)\n"
         assert read_qdl(out).n == 9
+
+    def test_cyclic_builds_one_field(self, capsys, tmp_path, monkeypatch):
+        # the multiplier's field is the table's: one modulus search
+        calls = []
+        find = GaloisField._find_modulus
+        monkeypatch.setattr(GaloisField, "_find_modulus", lambda f: calls.append(f) or find(f))
+        out = tmp_path / "c.qdl"
+        assert main(["construct", "cyclic", "--p", "2", "--a", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "profile: (1, 31)\n"
+        assert len(calls) == 1
+        assert read_qdl(out) == galois_affine_quandle(2, 5, GaloisField(2, 5).multiplicative_generator())
 
     def test_bad_multiplier(self, capsys, tmp_path):
         out = tmp_path / "x.qdl"

@@ -2,6 +2,7 @@
 
 import json
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from quandlekit import (
     affine_quandle,
     are_isomorphic,
     classify_shq,
+    format_qdl,
     is_connected,
     naive_connected_quandles,
     profile,
@@ -524,6 +526,18 @@ class TestSaveSearchResult:
             assert loaded == q
         text = (tmp_path / "q000.qdl").read_text()
         assert text.startswith("# profile (1, 4)\n")
+
+    def test_written_as_bytes(self, tmp_path, monkeypatch):
+        # no file goes through text mode, whose b"\n" becomes b"\r\n" on
+        # Windows: the bytes are those of format_qdl and json.dumps
+        monkeypatch.setattr(Path, "write_text", None)
+        res = search_by_profile(SearchSpec((1, 2, 6)))
+        manifest = save_search_result(res, tmp_path)
+        for i, q in enumerate(res.quandles):
+            want = format_qdl(q, comments=("profile (1, 2, 6)",)).encode()
+            assert (tmp_path / f"q{i:03d}.qdl").read_bytes() == want
+        want = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "manifest.json").read_bytes() == want.encode()
 
     def test_bytes_stable_across_runs(self, tmp_path):
         save_search_result(search_by_profile(SearchSpec((1, 3))), tmp_path / "a")

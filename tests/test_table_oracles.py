@@ -108,6 +108,7 @@ from quandlekit import (
     translations,
     validate_quandle,
     verify_main_theorem,
+    write_qdl,
 )
 from quandlekit import construct, core
 from quandlekit.core import _close_mask, _column_powers
@@ -600,6 +601,21 @@ def reference_galois_rows(p: int, a: int, multiplier) -> list[list[int]]:
     for x in range(field.order):
         rows.append([field.encode(field.add(hx[x], ky[y])) + 1 for y in range(field.order)])
     return rows
+
+
+def reference_digit_sum(hx: np.ndarray, ky: np.ndarray, base: int, digits: int) -> np.ndarray:
+    """hx[x] + ky[y] added digit by digit mod base, as `construct._affine_table`
+    added them before it read two tables of digit-wise sums: 4 n x n passes
+    per digit."""
+    table = np.zeros((len(hx), len(ky)), dtype=np.int32)
+    cell = np.empty_like(table)
+    for d in range(digits):
+        place = base**d
+        np.add.outer(hx // place % base, ky // place % base, out=cell)
+        np.remainder(cell, base, out=cell)
+        cell *= place
+        table += cell
+    return table
 
 
 def reference_family_embedding(p: int, c: int) -> EmbeddingReport:
@@ -1206,6 +1222,21 @@ class TestAffineKernel:
             assert np.array_equal(galois_affine_quandle(p, a, field.element(k)).array, want), k
 
 
+    @pytest.mark.parametrize("p, a", [
+        (p, a) for p in range(2, 46) if all(p % d for d in range(2, p))
+        for a in range(2, 12) if p**a <= DEFAULT_TABLE_CAP
+    ])
+    def test_digit_sums_match_reference(self, p, a):
+        # every field with two or more digits up to the cap, on seeded
+        # permutations of the encodings and on the identity and its reverse
+        n = p**a
+        rng = np.random.default_rng(n)
+        x = np.arange(n)
+        for hx, ky in ((x, x[::-1]), (rng.permutation(n), rng.permutation(n))):
+            want = reference_digit_sum(hx, ky, p, a)
+            assert np.array_equal(construct._affine_table(hx, ky, p, a).array, want)
+
+
 # every field GF(p^a) of order at most 256
 FIELDS_256 = [(p, a) for p in range(2, 257) if all(p % d for d in range(2, p))
               for a in range(1, 9) if p**a <= 256]
@@ -1446,11 +1477,22 @@ class TestQdlOracles:
         (f"2\n1 {2**64}\n2 2\n", ("EntryOutOfRange", (1, 2))),
         ("2\n1 1\n2 3-4\n", ("ParseError", 3)),
         (f"2\n1 1\n2 {2**32 + 2}\n", ("EntryOutOfRange", (2, 2))),
+        # the gates of _scan: a 9-digit token is read in the array pass; a
+        # tab, a CRLF or a lone "\r" needs the mask of other bytes; in
+        # one-line blocks the 10-digit run is in the second block only
+        ("2\n1 1\n2 000000002\n", ("valid", 2)),
+        ("2\n1\t1\n2\t 2\n", ("valid", 2)),
+        ("2\r\n1 1\r\n2 2\r\n", ("valid", 2)),
+        ("2\n1 1\n2\r2\n", ("ParseError", 4)),
+        ("2\n1 1\n2 0000000002\n", ("valid", 2)),
     ])
     def test_flagged_lines(self, text, expected):
-        # a flagged line is either the error or read by the scalar check
+        # a flagged line is either the error or read by the scalar check;
+        # with one-line blocks each line meets the gates on its own
         got = outcome(parse_qdl, text)
         assert got == outcome(reference_parse_qdl, text)
+        with patch.object(core, "_BLOCK_BYTES", 1):
+            assert outcome(parse_qdl, text) == got
         if isinstance(got, QuandleTable):
             assert ("valid", got.n) == expected
         elif got[0] == "ParseError":
@@ -1468,3 +1510,24 @@ class TestQdlOracles:
         assert text == reference_format_qdl(q, comments)
         assert parse_qdl(text) == q
         assert parse_qdl(format_qdl(q)) == q
+
+    @pytest.mark.parametrize("q", [
+        *(affine_quandle(n, -1) for n in (1, 9, 10, 99, 100, 999, 1000)),
+        trivial_quandle(2048),
+    ], ids=lambda q: str(q.n))
+    def test_format_at_label_widths(self, tmp_path, q):
+        # the label cells widen at 10, 100 and 1000; write_qdl writes the
+        # UTF-8 bytes of format_qdl, and a lone surrogate cannot be written.
+        # Reading the file back takes every digit 0-9 through each place of
+        # the reader's int32 conversion (a uint8 product would wrap at 300)
+        comments = ("r\u00e9sum\u00e9 \u2217", "plain")
+        text = format_qdl(q, comments)
+        assert text == reference_format_qdl(q, comments)
+        path = tmp_path / "t.qdl"
+        write_qdl(q, path, comments)
+        assert path.read_bytes() == text.encode()
+        assert read_qdl(path) == q
+        lone = ("\udcff",)
+        assert format_qdl(q, lone) == reference_format_qdl(q, lone)
+        with pytest.raises(UnicodeEncodeError):
+            write_qdl(q, tmp_path / "s.qdl", lone)
