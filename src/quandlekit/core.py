@@ -268,9 +268,11 @@ def _close_mask(tbl: np.ndarray, mask: np.ndarray, new: np.ndarray | None = None
     round forms only the products with a factor among them: O(n) a round
     for a few new labels, where all pairs cost O(|mask|^2).
 
-    The one closure kernel: subquandle closures, the growth step of the
-    subquandle enumeration and the generating sets of _generators all run
-    on it.  Validation rests on a lemma.  When every column of tbl is a
+    The one closure kernel: subquandle_closure and the generating sets of
+    _generators, which the validator checks, run on it.  The subquandle
+    enumeration reads its closures off merged orbit partitions instead
+    (structure._grown), and the tests hold them to this kernel.
+    Validation rests on a lemma.  When every column of tbl is a
     bijection, the labels k whose right translation R_k is an automorphism
     form a set closed under the product: if R_a and R_b are automorphisms,
     distributivity at b gives R_(a*b) = R_b R_a R_b^-1, an automorphism too.

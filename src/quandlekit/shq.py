@@ -495,26 +495,34 @@ def fix_block_report(q: QuandleTable) -> FixBlockReport:
     F_x = Fix(R_x^(l_(m-1))) tile X_m into blocks of size n_(m-1); the sets
     B_x = Fix(R_x^l) tile it into blocks of size l+1; members of one B-block
     share R_y^l; and for m >= 3 the block of n_m is evenly spaced with step
-    l(l+1)^(m-3).  Each prefix takes two power tables (_column_powers), for
-    l_(m-1) and for l; the l table gives both the B blocks and every R_y^l.
-    For m >= 3, B_x lies inside F_x without a check: l divides l_(m-1).
+    l(l+1)^(m-3).  A closed prefix's power tables are the corners of the
+    whole canonical table's (_column_powers): R_x^k maps X_m onto itself.
+    The l table P_l is built once and gives both the B blocks and every
+    R_y^l; the F table P_(l_(m-1)) is chained prefix by prefix, raised by
+    l_(m-1) / l_(m-2) (which is l+1 from m = 4 on).  For m >= 3, B_x lies
+    inside F_x without a check: l divides l_(m-1).
     """
     params = classify_shq(q)
     if params is None:
         raise NotSHQShape("fix block laws apply to SHQs only")
     canon, decomp = canonical_relabel(q)
     ell = params.ell
+    lpow = _column_powers(canon.array, ell)
+    fpow = canon.array  # P_(l_1), as l_1 = 1
     checked = 0
     bad: list[str] = []
     for m in range(2, decomp.c + 1):
         n_m = decomp.ns[m - 1]
         n_prev = decomp.ns[m - 2]
-        tbl = subtable(canon, range(1, n_m + 1)).array  # canonical, as canon is
+        if canon.array[:n_m, :n_m].max() >= n_m:
+            subtable(canon, range(1, n_m + 1))  # raises: X_m is not closed
+        if m == 3:
+            fpow = lpow  # l_2 = l
+        elif m > 3:
+            fpow = _column_powers(fpow, decomp.ell(m - 1) // decomp.ell(m - 2))
+        powers = lpow[:n_m, :n_m]
         try:
-            fpart = _fix_partition(
-                _column_powers(tbl, decomp.ell(m - 1)), decomp.ell(m - 1)
-            )[0]
-            powers = _column_powers(tbl, ell)
+            fpart = _fix_partition(fpow[:n_m, :n_m], decomp.ell(m - 1))[0]
             bpart, bkey = _fix_partition(powers, ell)
         except NotAPartition as exc:
             bad.append(f"prefix X_{m}: {exc}")

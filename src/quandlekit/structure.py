@@ -112,6 +112,60 @@ def _typed_profile(q: QuandleTable) -> tuple[list[tuple[int, ...]], Profile]:
     return types, Profile(structures, None if low.any() else structures[0])
 
 
+def _merged_orbits(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(k, n) orbit minima: row r of low, a partition of the labels given by
+    each label's smallest orbit-mate (as from _orbit_minima), joined with
+    the cycles of the permutation cols[r].
+
+    The rows are stacked end to end into one forest whose roots are the
+    labels with low[x] == x.  While some x and its image lie under different
+    roots, the larger root hooks to the smallest such other root, and every
+    label then jumps to its root (low = low[low]).  A label only ever hooks
+    to a smaller one of its merged orbit, so each orbit's smallest label
+    stays its root and the fixpoint is the merged orbit minima.
+    """
+    k, n = low.shape
+    off = np.arange(0, k * n, n, dtype=np.int32)[:, None]
+    img = (cols + off).ravel()
+    low = (low + off).ravel()
+    while True:
+        ahead = low[img]
+        moved = np.flatnonzero(ahead != low)
+        if not moved.size:
+            return low.reshape(k, n) - off
+        a, b = low[moved], ahead[moved]
+        np.minimum.at(low, np.maximum(a, b), np.minimum(a, b))
+        top = low[low]
+        while (top != low).any():
+            low, top = top, top[top]
+
+
+def _grown(tbl: np.ndarray, seeds: np.ndarray, lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closures of one generation's growth candidates, with their orbits.
+
+    seeds (k, n) are closed sets S as masks, and lows[i] the orbit minima
+    of G_S = <R_s : s in S>.  The candidates (S, e), taken seed by seed with
+    e ascending, are the smallest labels e of the G_S-orbits outside S.
+    Returns, one row per candidate, the mask of closure(S + e) and the
+    orbit minima of G_(S + e), merged from lows along R_e (_merged_orbits).
+
+    Every R_x is an automorphism, so closure(X) = <R_x : x in X> . X: that
+    set is closed, as R_(g(y)) = g R_y g^-1, and each R_x maps closure(X)
+    onto itself.  The closure is the union of the merged orbits that meet
+    S + e, and it generates the same group, so the merged minima are also
+    the closure's own orbits when it seeds the next generation.
+    """
+    n = tbl.shape[0]
+    which, e = np.nonzero((lows == np.arange(n)) & ~seeds)
+    low = _merged_orbits(lows[which], tbl[:, e].T)
+    rows = np.arange(len(e))
+    members = seeds[which]
+    members[rows, e] = True
+    hit = np.zeros((len(e), n + 1), dtype=bool)  # column n collects the non-members
+    hit[rows[:, None], np.where(members, low, n)] = True
+    return np.take_along_axis(hit, low, axis=1), low
+
+
 def _closed_orbits(tbl: np.ndarray) -> list[np.ndarray]:
     """Closed subsets of a quandle table as boolean masks, one (k, n) array
     of k masks per orbit of the inner automorphism group Inn(Q).
@@ -123,11 +177,13 @@ def _closed_orbits(tbl: np.ndarray) -> list[np.ndarray]:
     whole layer under those columns, with no closure, and the images not
     seen before make the next layer.  The singletons seed the first orbits,
     one per orbit of labels.  Only the first member S of each orbit is
-    grown, by one outside element e and a closure: growing R(S) by R(e)
-    gives R applied to a set found from S, so no orbit is missed.  As each
-    g in G_S = <R_s : s in S> maps S onto itself, e need only be the
-    smallest label of each G_S-orbit outside S: _orbit_minima on the
-    columns tbl[:, S], the same helper that gives the orbits of labels.
+    grown, by one outside element e: growing R(S) by R(e) gives R applied
+    to a set found from S, so no orbit is missed.  As each g in
+    G_S = <R_s : s in S> maps S onto itself, e need only be the smallest
+    label of each G_S-orbit outside S.  Each seed carries those orbits; a
+    singleton's come from _orbit_minima on its column, and the seeds found
+    by one generation's growth are grown together, their closures and
+    orbits read off merged partitions (_grown), with no closure pass.
     """
     n = tbl.shape[0]
     cols = tbl[:, list(_generators(tbl))].T  # row j is R_(gen j)
@@ -152,21 +208,20 @@ def _closed_orbits(tbl: np.ndarray) -> list[np.ndarray]:
             layers.append(images[fresh])
         out.append(np.concatenate(layers))
 
-    for singleton in np.eye(n, dtype=bool):
+    seeds, lows = [], []
+    for x, singleton in enumerate(np.eye(n, dtype=bool)):
         if singleton.tobytes() not in known:
             fill(singleton)
-    labels = np.arange(n)
-    for orbit in out:  # grows while it is walked
-        first = orbit[0]
-        if first.all():  # the whole table: nothing to grow
-            continue
-        low = _orbit_minima(tbl[:, first])
-        for e in np.flatnonzero((low == labels) & ~first):
-            grown = first.copy()
-            grown[e] = True
-            _close_mask(tbl, grown)
-            if grown.tobytes() not in known:
-                fill(grown)
+            seeds.append(singleton)
+            lows.append(_orbit_minima(tbl[:, [x]]))
+    while seeds:
+        closures, merged = _grown(tbl, np.array(seeds), np.array(lows))
+        seeds, lows = [], []
+        for closure, low in zip(closures, merged):
+            if closure.tobytes() not in known:
+                fill(closure)
+                seeds.append(closure)
+                lows.append(low)
     return out
 
 
@@ -249,22 +304,33 @@ def enumerate_subquandles(
     Entries are sorted by (order, elements).  The members of an orbit are
     isomorphic subquandles, so each orbit's subtable, cycle types and
     profile are built once, from its first entry, and only those first
-    entries are grouped into isomorphism classes.  iso_class is the first
-    entry of the class.
+    entries are grouped into isomorphism classes.  A subtable is read off
+    its mask: the labels ranked by a cumulative sum, then one gather.  A
+    bucket of trivial subquandles (every column the identity) is one
+    class without a comparison: they all have the bucket's order.
+    iso_class is the first entry of the class.
     """
     cap = resolve_cap(max_order, DEFAULT_ENUM_CAP)
     if q.n > cap:
         raise SizeLimitExceeded(f"order {q.n} exceeds enumeration cap {cap}")
-    # each orbit as its sorted (order, elements) keys, read from one stack
-    # of all the masks; orbits by their first
+    # each orbit as its sorted (order, elements, row) keys, read from one
+    # stack of all the masks; orbits by their first
     found = _closed_orbits(q.array)
     masks = np.concatenate(found)
     labels = iter((np.nonzero(masks)[1] + 1).tolist())  # row by row
-    keys = iter([(size, tuple(islice(labels, size))) for size in masks.sum(axis=1).tolist()])
+    keys = iter([
+        (size, tuple(islice(labels, size)), row)
+        for row, size in enumerate(masks.sum(axis=1).tolist())
+    ])
     orbits = sorted(sorted(islice(keys, len(orbit))) for orbit in found)
-    subs = [subtable(q, orbit[0][1]) for orbit in orbits]
+    subs = []
+    for orbit in orbits:
+        mask = masks[orbit[0][2]]
+        idx = np.flatnonzero(mask)
+        rank = np.cumsum(mask, dtype=np.int32) - 1
+        subs.append(QuandleTable._from_array(rank[q.array[np.ix_(idx, idx)]]))
     types, profiles = zip(*map(_typed_profile, subs))
-    listed = sorted((key, i) for i, orbit in enumerate(orbits) for key in orbit)
+    listed = sorted((key[:2], i) for i, orbit in enumerate(orbits) for key in orbit)
     index = {key: k for k, (key, _) in enumerate(listed)}
 
     # Group the orbits into isomorphism classes, bucketed by (order, profile).
@@ -272,9 +338,13 @@ def enumerate_subquandles(
     for i, orbit in enumerate(orbits):
         buckets.setdefault((orbit[0][0], profiles[i].structures), []).append(i)
     iso_class: dict[int, int] = {}
-    for members in buckets.values():
-        for rep, group in _group_isomorphic(subs, types, members).items():
-            iso_class.update(dict.fromkeys(group, index[orbits[rep][0]]))
+    for (order, structures), members in buckets.items():
+        if structures == (CycleStructure((1,) * order),):
+            groups = {members[0]: members}
+        else:
+            groups = _group_isomorphic(subs, types, members)
+        for rep, group in groups.items():
+            iso_class.update(dict.fromkeys(group, index[orbits[rep][0][:2]]))
     entries = tuple(
         SubquandleEntry(elems, order, profiles[i], iso_class[i])
         for (order, elems), i in listed

@@ -336,6 +336,30 @@ class TestSettledProfiles:
         assert len(res.iso_classes) == want
 
 
+class TestNodeRelations:
+    # A hand-built node of (1,2,3,6) at its third block (labels 3..5, n_i = 5)
+    # whose columns are not those of any quandle.  R_1(n_i) and R_2(n_i) are
+    # past the block, so neither forces nor commutes g, and R_1(2) = n_i is
+    # the only pair u, v < 3 with v*u = n_i: the product relation is the
+    # one source of g.  The other relations alone admit 12 generators.
+    R1 = [8, 1, 5, 0, 3, 6, 11, 9, 4, 7, 10, 2]
+    R2 = [9, 6, 2, 8, 3, 7, 10, 5, 4, 1, 11, 0]
+
+    def test_product_pair_alone_forces_the_generator(self):
+        searcher = _Searcher((1, 2, 3, 6))
+        table = np.zeros((12, 12), dtype=np.int8)
+        table[:, 0] = core._canonical_r1((1, 2, 3, 6))
+        table[:, 1], table[:, 2] = self.R1, self.R2
+        n_i = 5
+        assert all(table[n_i, u] >= 6 for u in (1, 2))
+        pairs = [(u, v) for u in range(3) for v in range(3) if table[v, u] == n_i]
+        assert pairs == [(1, 2)]
+        inverse = np.argsort(self.R1)
+        want = np.array(self.R1)[np.array(self.R2)[inverse]]  # g = R_1 R_2 R_1^-1
+        assert want[n_i] == n_i
+        assert searcher.generators(1, table).tolist() == [want.tolist()]
+
+
 class TestStats:
     def test_golden_filter_funnel(self):
         stats = search_by_profile(SearchSpec((1, 2, 6))).stats

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    InvalidQuandleError,
     NotAPartition,
     NotCanonicalForm,
     NotRelabelable,
@@ -529,6 +530,16 @@ class TestSubquandleClauseFailures:
         assert not validate_quandle(bad.rows).ok
         check = self.clause(bad, enumerate_subquandles(q94))
         assert not check.passed and check.detail == "prefix X_2 is not closed"
+
+    def test_fix_block_report_refuses_the_escaping_prefix(self, q94):
+        # the power tables are corners of the whole table's only when the
+        # prefix is closed; one that is not raises subtable's error
+        tbl = q94.array.copy()
+        swap = np.array([0, 4, 2, 3, 1, 5, 6, 7, 8])
+        tbl[:, 1] = swap[tbl[swap, 1]]
+        with pytest.raises(InvalidQuandleError) as info:
+            fix_block_report(QuandleTable._from_array(tbl))
+        assert (info.value.result.error, info.value.result.witness) == ("EntryOutOfRange", (2, 2))
 
 
 class TestTranslationSharing:

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -391,6 +392,21 @@ class TestEnumerationBackends:
         assert sorted(seen) == sorted((int(o[0].sum()),) * 2 for o in orbits)
 
 
+class TestTrivialBuckets:
+    def test_only_identity_buckets_skip_the_comparison(self):
+        # T1 + R3 and the order-4 quandle where two points swap the other two
+        # share order 4 and profile [(1^4); (1^2, 2)] but are not isomorphic,
+        # so their bucket is grouped by comparison; the trivial subquandles
+        # of each order form one class without one
+        swap = QuandleTable.from_rows([[1, 1, 1, 1], [2, 2, 2, 2], [4, 4, 3, 3], [3, 3, 4, 4]])
+        q = disjoint_union(trivial_quandle(1), dihedral_quandle(3), swap)
+        inv = enumerate_subquandles(q)
+        assert inv == reference_inventory(q)
+        entries = {e.elements: e for e in inv.entries}
+        union, swapped = entries[(1, 2, 3, 4)], entries[(5, 6, 7, 8)]
+        assert union.profile == swapped.profile and union.iso_class != swapped.iso_class
+
+
 class TestDerivedTableOracles:
     @settings(max_examples=40, deadline=None)
     @given(relabelled(SMALL))
@@ -651,7 +667,7 @@ class TestClosedOrbits:
         assert (sum(map(len, found)), len(found)) == (sets, orbit_count)
 
     @pytest.mark.parametrize(
-        "make, closures",
+        "make, candidates",
         [
             (lambda: shq_family(7, 4), 6),
             (lambda: shq_family(3, 4), 6),
@@ -659,19 +675,62 @@ class TestClosedOrbits:
         ],
         ids=["family(7,4)", "family(3,4)", "galois(3,4,2)"],
     )
-    def test_growth_closures(self, make, closures, monkeypatch):
+    def test_growth_closures(self, make, candidates, monkeypatch):
         # each orbit's first member S is grown once per orbit of
-        # <R_s : s in S> outside S
-        calls = []
-        kernel = structure._close_mask
+        # <R_s : s in S> outside S, as one candidate (S, e) of its generation,
+        # and no closure pass runs
+        calls = grown_calls(make(), monkeypatch)
+        assert sum(len(closures) for _, _, closures, _ in calls) == candidates
 
-        def counted(tbl, mask):
-            calls.append(1)
-            return kernel(tbl, mask)
+    @pytest.mark.parametrize(
+        "q",
+        [
+            *SMALL, *SHQS, UNION, TRIVIAL_AND_D3, subfield_quandle(2, 4, 2),
+            subfield_quandle(2, 6, 2), galois_affine_quandle(3, 4, 2),
+        ],
+        ids=lambda q: f"order{q.n}",
+    )
+    def test_merged_closures_match_close_mask(self, q, monkeypatch):
+        check_merged_growth(q, monkeypatch)
 
-        monkeypatch.setattr(structure, "_close_mask", counted)
-        structure._closed_orbits(make().array)
-        assert len(calls) == closures
+    @settings(max_examples=25, deadline=None)
+    @given(q=relabelled([*SMALL, TRIVIAL_AND_D3]))
+    def test_merged_closures_match_close_mask_relabelled(self, q):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_merged_growth(q, monkeypatch)
+
+
+def grown_calls(q: QuandleTable, monkeypatch) -> list[tuple]:
+    """(seeds, lows, closures, merged) of each _grown call that
+    _closed_orbits(q.array) makes."""
+    calls = []
+    grown = structure._grown
+
+    def recorded(tbl, seeds, lows):
+        closures, merged = grown(tbl, seeds, lows)
+        calls.append((seeds, lows, closures, merged))
+        return closures, merged
+
+    monkeypatch.setattr(structure, "_grown", recorded)
+    structure._closed_orbits(q.array)
+    return calls
+
+
+def check_merged_growth(q: QuandleTable, monkeypatch) -> None:
+    """Every merged closure of a growth candidate (S, e) is the closure of
+    S + e by the all-pairs kernel, and every merged partition is the orbit
+    partition of the closure's columns."""
+    tbl, n = q.array, q.n
+    calls = grown_calls(q, monkeypatch)
+    assert calls
+    for seeds, lows, closures, merged in calls:
+        which, labels = np.nonzero((lows == np.arange(n)) & ~seeds)
+        assert len(closures) == len(merged) == len(which)
+        for k, e, closure, low in zip(which, labels, closures, merged):
+            mask = seeds[k].copy()
+            mask[e] = True
+            assert np.array_equal(closure, core._close_mask(tbl, mask))
+            assert np.array_equal(low, structure._orbit_minima(tbl[:, closure]))
 
 
 class TestLargeOrderEnumeration:
