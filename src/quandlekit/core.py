@@ -260,66 +260,84 @@ class ValidationResult:
         return f"{self.error}{at}"
 
 
-def _close_mask(tbl: np.ndarray, mask: np.ndarray, new: np.ndarray | None = None) -> np.ndarray:
-    """Fixpoint of all-pairs products over a boolean mask, in place.
+def _orbit_minima(moves: np.ndarray) -> np.ndarray:
+    """low[x]: the smallest label (int32) of x's orbit under the maps whose
+    images of x are the row moves[x].  Each label takes the smallest low of
+    its images until none drops; the maps are permutations, so every label
+    of an orbit reaches every other and the fixpoint is the orbit minimum.
+    The first step reads the row minima, as low starts as the identity.
+    After each step low jumps to low[low]: low[x] stays a label of x's
+    orbit no larger than x, so the fixpoint is the same, but a long cycle
+    is crossed in far fewer steps than its length."""
+    low = np.arange(moves.shape[0], dtype=np.int32)
+    nxt = np.minimum(low, moves.min(axis=1), dtype=np.int32)
+    while nxt.any() and (nxt < low).any():  # all 0: one orbit
+        low = nxt.take(nxt)
+        nxt = np.minimum(low, low.take(moves).min(axis=1))
+    return nxt
 
-    When the labels `new` were added to a mask that was closed before, and
-    while the labels the last round added are fewer than half the mask, a
-    round forms only the products with a factor among them: O(n) a round
-    for a few new labels, where all pairs cost O(|mask|^2).
 
-    The one closure kernel: subquandle_closure and the generating sets of
-    _generators, which the validator checks, run on it.  The subquandle
-    enumeration reads its closures off merged orbit partitions instead
-    (structure._grown), and the tests hold them to this kernel.
-    Validation rests on a lemma.  When every column of tbl is a
-    bijection, the labels k whose right translation R_k is an automorphism
-    form a set closed under the product: if R_a and R_b are automorphisms,
-    distributivity at b gives R_(a*b) = R_b R_a R_b^-1, an automorphism too.
+def _merged_orbits(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(k, n) orbit minima: row r of low, a partition of the labels given by
+    each label's smallest orbit-mate (as from _orbit_minima), joined with
+    the cycles of the permutation cols[r].
+
+    The rows are stacked end to end into one forest whose roots are the
+    labels with low[x] == x.  While some x and its image lie under different
+    roots, the larger root hooks to a smaller such other root, and every
+    label then jumps to its root (low = low[low]).  A label only ever hooks
+    to a smaller one of its merged orbit, so each orbit's smallest label
+    stays its root and the fixpoint is the merged orbit minima.
     """
-    n = tbl.shape[0]
-    idx = np.flatnonzero(mask)
-    if new is not None:
-        while 0 < 2 * new.size < idx.size:
-            before = mask.copy()
-            mask[tbl[new[:, None], idx]] = True
-            mask[tbl[idx[:, None], new]] = True
-            new = np.flatnonzero(mask > before)
-            idx = np.flatnonzero(mask)
-        if not new.size:
-            return mask
-    size = idx.size
-    while size < n:
-        mask[tbl[idx[:, None], idx].ravel()] = True
-        grown = int(mask.sum())
-        if grown == size:
-            break
-        size = grown
-        idx = np.flatnonzero(mask)
-    return mask
+    k, n = low.shape
+    off = np.arange(0, k * n, n, dtype=np.int32)[:, None]
+    img = (cols + off).ravel()
+    low = (low + off).ravel()
+    while True:  # take: a 1-D gather at about twice the speed of low[img]
+        ahead = low.take(img)
+        moved = np.flatnonzero(ahead != low)
+        if not moved.size:
+            return low.reshape(k, n) - off
+        a, b = low[moved], ahead[moved]
+        low[np.maximum(a, b)] = np.minimum(a, b)
+        top = low.take(low)
+        while (top != low).any():
+            low, top = top, top.take(top)
+
+
+def _orbits_meeting(low: np.ndarray, labels) -> np.ndarray:
+    """The union, as a mask, of the orbits (orbit minima low) that meet
+    labels, a mask or a list of labels."""
+    met = np.zeros(low.shape[0], dtype=bool)
+    met[low[labels]] = True
+    return met.take(low)
 
 
 def _generators(tbl: np.ndarray):
     """Greedy generating set of a table, 0-based, yielded lazily.
 
     Each label yielded is the smallest one outside the closure of those
-    yielded before; the closure is taken only when the next label is asked
-    for, incrementally (_close_mask).  A caller may send back, instead of
-    resuming with next(), labels to join the mask in place of the label
-    yielded; they must include it.  On a quandle the columns of a
-    generating set also generate the inner automorphism group, since
-    R_(a*b) = R_b R_a R_b^-1.
+    yielded before, taken only when the next label is asked for.  A caller
+    may send back, instead of resuming with next(), labels to join the mask
+    in place of the label yielded; they must include it, and their columns
+    must equal its column.  The walk keeps the orbit minima of the group
+    G generated by the columns yielded, merging each new column into them
+    (_merged_orbits); when those columns are automorphisms, the closure of
+    the mask is the union of the G-orbits that meet it (see _distributive).
+    On a quandle the columns of a generating set also generate the inner
+    automorphism group, since R_(a*b) = R_b R_a R_b^-1.
     """
-    mask = np.zeros(tbl.shape[0], dtype=bool)
+    low = np.arange(tbl.shape[0], dtype=np.int32)[None]
+    closed = np.zeros(tbl.shape[0], dtype=bool)
     g = 0
     while True:
-        new = yield g
-        new = np.array([g]) if new is None else new
-        mask[new] = True
-        rest = np.flatnonzero(~_close_mask(tbl, mask, new))
-        if not rest.size:
+        same = yield g
+        closed[g if same is None else same] = True
+        low = _merged_orbits(low, tbl[:, g][None])
+        closed = _orbits_meeting(low[0], closed)
+        g = int(np.argmin(closed))
+        if closed[g]:
             return
-        g = int(rest[0])
 
 
 def _automorphism(tbl: np.ndarray, col: np.ndarray, moved: np.ndarray) -> bool:
@@ -353,12 +371,17 @@ def _distributive(tbl: np.ndarray) -> bool:
     Checks that R_g is an automorphism for each g of the greedy generating
     walk of _generators, each before the next is found.  Distributivity at
     k reads only the column R_k, so each check also settles every label
-    whose column equals R_g, and these join the walk's mask; by the lemma
-    in _close_mask, the closure of the mask holds only automorphisms.  The
-    table is distributive once the mask holds every label: after one check
-    on the trivial table, two on a connected affine one, and two per
-    component on a disjoint union of small connected quandles, where each
-    check is O(n) (_automorphism).
+    whose column equals R_g, and these join the walk's mask.  The walk
+    reads the mask's closure off the orbits of the group G the checked
+    columns generate, which rests on a lemma.  When every column of tbl is
+    a bijection and every label x of X has an automorphism R_x, closure(X)
+    = G.X: G.X holds X and is closed, as g(x) * h(y) = R_(h(y)) g(x) and
+    R_(h(y)) = h R_y h^-1 lies in G; and each R_x maps closure(X) onto
+    itself.  Each label h(y) of it has a conjugate column h R_y h^-1, an
+    automorphism too.  The table is distributive once the mask holds every
+    label: after one check on the trivial table, two on a connected affine
+    one, and two per component on a disjoint union of small connected
+    quandles, where each check is O(n) (_automorphism).
     """
     labels = np.arange(tbl.shape[0])
     walk = _generators(tbl)

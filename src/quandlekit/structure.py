@@ -17,9 +17,11 @@ from .core import (
     Permutation,
     QuandleTable,
     ValidationResult,
-    _close_mask,
     _cycles,
     _generators,
+    _merged_orbits,
+    _orbit_minima,
+    _orbits_meeting,
 )
 from .errors import (
     IndexOutOfRange,
@@ -44,22 +46,6 @@ class Profile:
         if self.connected_form is not None:
             return str(self.connected_form)
         return "[" + "; ".join(str(s) for s in self.structures) + "]"
-
-
-def _orbit_minima(moves: np.ndarray) -> np.ndarray:
-    """low[x]: the smallest label (int32) of x's orbit under the maps whose
-    images of x are the row moves[x].  Each label takes the smallest low of
-    its images until none drops; the maps are permutations, so every label
-    of an orbit reaches every other and the fixpoint is the orbit minimum.
-    After each such step low jumps to low[low]: low[x] stays a label of x's
-    orbit no larger than x, so the fixpoint is the same, but a long cycle
-    is crossed in far fewer steps than its length."""
-    low = np.arange(moves.shape[0], dtype=np.int32)
-    while True:
-        nxt = np.minimum(low, low[moves].min(axis=1))
-        if not (nxt < low).any():
-            return low
-        low = nxt[nxt]
 
 
 def orbits(q: QuandleTable) -> tuple[tuple[int, ...], ...]:
@@ -112,34 +98,6 @@ def _typed_profile(q: QuandleTable) -> tuple[list[tuple[int, ...]], Profile]:
     return types, Profile(structures, None if low.any() else structures[0])
 
 
-def _merged_orbits(low: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(k, n) orbit minima: row r of low, a partition of the labels given by
-    each label's smallest orbit-mate (as from _orbit_minima), joined with
-    the cycles of the permutation cols[r].
-
-    The rows are stacked end to end into one forest whose roots are the
-    labels with low[x] == x.  While some x and its image lie under different
-    roots, the larger root hooks to the smallest such other root, and every
-    label then jumps to its root (low = low[low]).  A label only ever hooks
-    to a smaller one of its merged orbit, so each orbit's smallest label
-    stays its root and the fixpoint is the merged orbit minima.
-    """
-    k, n = low.shape
-    off = np.arange(0, k * n, n, dtype=np.int32)[:, None]
-    img = (cols + off).ravel()
-    low = (low + off).ravel()
-    while True:
-        ahead = low[img]
-        moved = np.flatnonzero(ahead != low)
-        if not moved.size:
-            return low.reshape(k, n) - off
-        a, b = low[moved], ahead[moved]
-        np.minimum.at(low, np.maximum(a, b), np.minimum(a, b))
-        top = low[low]
-        while (top != low).any():
-            low, top = top, top[top]
-
-
 def _grown(tbl: np.ndarray, seeds: np.ndarray, lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closures of one generation's growth candidates, with their orbits.
 
@@ -149,11 +107,12 @@ def _grown(tbl: np.ndarray, seeds: np.ndarray, lows: np.ndarray) -> tuple[np.nda
     Returns, one row per candidate, the mask of closure(S + e) and the
     orbit minima of G_(S + e), merged from lows along R_e (_merged_orbits).
 
-    Every R_x is an automorphism, so closure(X) = <R_x : x in X> . X: that
-    set is closed, as R_(g(y)) = g R_y g^-1, and each R_x maps closure(X)
-    onto itself.  The closure is the union of the merged orbits that meet
-    S + e, and it generates the same group, so the merged minima are also
-    the closure's own orbits when it seeds the next generation.
+    Every R_x is an automorphism, so closure(X) = <R_x : x in X> . X, the
+    lemma the validator's walk rests on too (core._distributive).  The
+    closure is the union of the merged orbits that meet S + e, read for all
+    candidates in one scatter and one gather, and it generates the same
+    group, so the merged minima are also the closure's own orbits when it
+    seeds the next generation.
     """
     n = tbl.shape[0]
     which, e = np.nonzero((lows == np.arange(n)) & ~seeds)
@@ -183,7 +142,9 @@ def _closed_orbits(tbl: np.ndarray) -> list[np.ndarray]:
     label of each G_S-orbit outside S.  Each seed carries those orbits; a
     singleton's come from _orbit_minima on its column, and the seeds found
     by one generation's growth are grown together, their closures and
-    orbits read off merged partitions (_grown), with no closure pass.
+    orbits read off merged partitions (_grown).  The generating set comes
+    from the validator's walk (core._generators), whose closures are read
+    off merged partitions too: no closure here is an all-pairs fixpoint.
     """
     n = tbl.shape[0]
     cols = tbl[:, list(_generators(tbl))].T  # row j is R_(gen j)
@@ -226,16 +187,18 @@ def _closed_orbits(tbl: np.ndarray) -> list[np.ndarray]:
 
 
 def subquandle_closure(q: QuandleTable, seed) -> frozenset[int]:
-    """Smallest subset containing seed and closed under the operation."""
+    """Smallest subset containing seed and closed under the operation: the
+    union of the orbits of <R_s : s in seed> that meet seed, as every right
+    translation is an automorphism (core._distributive)."""
     seed = set(seed)
     if not seed:
         raise ParamOutOfRange("closure needs a non-empty seed")
     for x in seed:
         if not 1 <= x <= q.n:
             raise IndexOutOfRange(f"label {x} outside 1..{q.n}")
-    mask = np.zeros(q.n, dtype=bool)
-    mask[[x - 1 for x in seed]] = True
-    return frozenset((np.flatnonzero(_close_mask(q.array, mask)) + 1).tolist())
+    idx = [x - 1 for x in seed]
+    closure = _orbits_meeting(_orbit_minima(q.array[:, idx]), idx)
+    return frozenset((np.flatnonzero(closure) + 1).tolist())
 
 
 def subtable(q: QuandleTable, elements) -> QuandleTable:
@@ -302,12 +265,12 @@ def enumerate_subquandles(
     """All closed subsets, found orbit by orbit under Inn(Q) (_closed_orbits).
 
     Entries are sorted by (order, elements).  The members of an orbit are
-    isomorphic subquandles, so each orbit's subtable, cycle types and
-    profile are built once, from its first entry, and only those first
-    entries are grouped into isomorphism classes.  A subtable is read off
-    its mask: the labels ranked by a cumulative sum, then one gather.  A
-    bucket of trivial subquandles (every column the identity) is one
-    class without a comparison: they all have the bucket's order.
+    isomorphic subquandles, so each orbit's subtable is built once, from
+    its first entry: the labels ranked by a cumulative sum, then one
+    gather.  Equal subtables (by their bytes) are one class, so cycle
+    types and profile are computed once per distinct subtable, and only
+    the distinct subtables are grouped into isomorphism classes: the
+    trivial subquandles of one order, for one, share a subtable.
     iso_class is the first entry of the class.
     """
     cap = resolve_cap(max_order, DEFAULT_ENUM_CAP)
@@ -323,30 +286,31 @@ def enumerate_subquandles(
         for row, size in enumerate(masks.sum(axis=1).tolist())
     ])
     orbits = sorted(sorted(islice(keys, len(orbit))) for orbit in found)
-    subs = []
-    for orbit in orbits:
+    kinds: dict[bytes, int] = {}  # subtable bytes -> index into subs
+    subs, owner, kind = [], [], []  # owner: the first orbit of each subtable
+    for i, orbit in enumerate(orbits):
         mask = masks[orbit[0][2]]
         idx = np.flatnonzero(mask)
         rank = np.cumsum(mask, dtype=np.int32) - 1
-        subs.append(QuandleTable._from_array(rank[q.array[np.ix_(idx, idx)]]))
+        sub = rank[q.array[np.ix_(idx, idx)]]
+        kind.append(kinds.setdefault(sub.tobytes(), len(subs)))
+        if kind[-1] == len(subs):
+            subs.append(QuandleTable._from_array(sub))
+            owner.append(i)
     types, profiles = zip(*map(_typed_profile, subs))
     listed = sorted((key[:2], i) for i, orbit in enumerate(orbits) for key in orbit)
     index = {key: k for k, (key, _) in enumerate(listed)}
 
-    # Group the orbits into isomorphism classes, bucketed by (order, profile).
+    # Group the subtables into isomorphism classes, bucketed by (order, profile).
     buckets: dict[tuple, list[int]] = {}
-    for i, orbit in enumerate(orbits):
-        buckets.setdefault((orbit[0][0], profiles[i].structures), []).append(i)
+    for d, sub in enumerate(subs):
+        buckets.setdefault((sub.n, profiles[d].structures), []).append(d)
     iso_class: dict[int, int] = {}
-    for (order, structures), members in buckets.items():
-        if structures == (CycleStructure((1,) * order),):
-            groups = {members[0]: members}
-        else:
-            groups = _group_isomorphic(subs, types, members)
-        for rep, group in groups.items():
-            iso_class.update(dict.fromkeys(group, index[orbits[rep][0][:2]]))
+    for members in buckets.values():
+        for rep, group in _group_isomorphic(subs, types, members).items():
+            iso_class.update(dict.fromkeys(group, index[orbits[owner[rep]][0][:2]]))
     entries = tuple(
-        SubquandleEntry(elems, order, profiles[i], iso_class[i])
+        SubquandleEntry(elems, order, profiles[kind[i]], iso_class[kind[i]])
         for (order, elems), i in listed
     )
     return SubquandleInventory(q.n, entries)
@@ -367,7 +331,7 @@ def _group_isomorphic(tables, types, members) -> dict[int, list[int]]:
     keyed: dict[tuple[int, ...], int] = {}
     unkeyed: list[int] = []
     for i in members:
-        key = _pair_key(tables[i].array.tolist()) if len(members) > 1 else None
+        key = _pair_key(tables[i].array) if len(members) > 1 else None
         if key is not None:
             classes.setdefault(keyed.setdefault(key, i), []).append(i)
             continue
@@ -381,9 +345,9 @@ def _group_isomorphic(tables, types, members) -> dict[int, list[int]]:
     return classes
 
 
-def _pair_key(t: list[list[int]]) -> tuple[int, ...] | None:
-    """A canonical form of the connected table t (rows t[x][j] = x * j) that
-    some pair generates, or None when t is disconnected or no pair does.
+def _pair_key(tbl: np.ndarray) -> tuple[int, ...] | None:
+    """A canonical form of the connected table tbl (0-based) that some pair
+    generates, or None when tbl is disconnected or no pair does.
 
     Aut(Q) contains Inn(Q), which is transitive on a connected Q, so one
     element of the pair can be 0.  For y != 0, the labelling from (0, y)
@@ -394,9 +358,10 @@ def _pair_key(t: list[list[int]]) -> tuple[int, ...] | None:
     cycle length at which some (0, y) generates.  An isomorphism fixing 0
     maps these pairs onto each other, so the least relabelled table, in
     row-major order, is the same for isomorphic tables, and only for them.
-    Generated by 0 and y, Q is connected when 0 reaches every label under
-    R_0 and R_y.
+    Generated by 0 and y, Q is connected when R_0 and R_y have one orbit
+    (_orbit_minima on those two columns).
     """
+    t = tbl.tolist()
     n = len(t)
     cycles: dict[int, list[int]] = {}  # cycle length of R_0 -> one y per cycle
     for cyc in _cycles([row[0] for row in t])[1:]:
@@ -424,15 +389,7 @@ def _pair_key(t: list[list[int]]) -> tuple[int, ...] | None:
             break
     else:
         return None
-    y = labs[0][1]
-    reached, stack = {0}, [0]
-    while stack:
-        x = stack.pop()
-        for z in (t[x][0], t[x][y]):
-            if z not in reached:
-                reached.add(z)
-                stack.append(z)
-    if len(reached) < n:
+    if _orbit_minima(tbl[:, [0, labs[0][1]]]).any():
         return None
     keys = []
     for lab in labs:

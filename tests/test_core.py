@@ -1,6 +1,5 @@
 """Tables, permutations, validation, and the .qdl text format."""
 
-import itertools
 import random
 import re
 from math import gcd
@@ -366,9 +365,10 @@ def bijective_tables(draw):
 
 
 class TestDistributivityKernel:
-    """_distributive checks one generator per class of equal columns and
-    closes the mask incrementally; the full scan _first_mismatch and the
-    per-pair definitions below are its oracles."""
+    """_distributive checks one generator per class of equal columns; the
+    full scan _first_mismatch and the per-pair definitions below are its
+    oracles, and test_table_oracles.py holds the walk's closures to
+    reference_closure."""
 
     @settings(max_examples=300, deadline=None)
     @given(bijective_tables())
@@ -398,39 +398,6 @@ class TestDistributivityKernel:
                 col[[a, b]] = col[[b, a]]
         want = np.array_equal(col[t], t[np.ix_(col, col)])  # col(i*j) = col(i)*col(j)
         assert core._automorphism(t, col, col != np.arange(n)) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(union_arrays(max_order=24), st.data())
-    def test_incremental_closure(self, t, data):
-        # closing a closed set with new labels added gives the full closure
-        n = len(t)
-        closed = np.zeros(n, dtype=bool)
-        closed[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))] = True
-        core._close_mask(t, closed)
-        outside = np.flatnonzero(~closed).tolist()
-        if not outside:
-            return
-        new = np.array(data.draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2,
-                                          unique=True)))
-        mask = closed.copy()
-        mask[new] = True
-        want = core._close_mask(t, mask.copy())
-        assert np.array_equal(core._close_mask(t, mask, new), want)
-
-    def test_incremental_closure_on_small_tables(self):
-        # every closed set of two generators, grown by one label: few new
-        # labels against a larger mask take the products on both sides
-        for q in SMALL:
-            t = q.array
-            for a, b in itertools.combinations(range(q.n), 2):
-                closed = np.zeros(q.n, dtype=bool)
-                closed[[a, b]] = True
-                core._close_mask(t, closed)
-                for c in np.flatnonzero(~closed):
-                    mask = closed.copy()
-                    mask[c] = True
-                    want = core._close_mask(t, mask.copy())
-                    assert np.array_equal(core._close_mask(t, mask, np.array([c])), want)
 
     @pytest.mark.parametrize("build, checks", [
         (lambda: np.repeat(np.arange(2048)[:, None], 2048, axis=1), 1),  # trivial

@@ -46,7 +46,12 @@ from conftest import (
     shuffled,
     trivial_quandle,
 )
-from test_table_oracles import reference_inventory, reference_orbits, reference_profile
+from test_table_oracles import (
+    reference_closure,
+    reference_inventory,
+    reference_orbits,
+    reference_profile,
+)
 
 
 # Three singleton orbits with one column (the identity) and one orbit of
@@ -369,9 +374,11 @@ class TestEnumerationBackends:
         ids=["trivial6", "dihedral6", "family(3,3)", "gf27-over-gf3"],
     )
     def test_invariants_once_per_orbit(self, make, monkeypatch):
-        # one _orbit_minima call (and one cycle walk per orbit of labels) for
-        # each orbit representative's subtable, shared by its profile and the
-        # isomorphism grouping; _closed_orbits makes calls of its own
+        # one _orbit_minima call on the whole table (and one cycle walk per
+        # orbit of labels) for each distinct subtable of an orbit's first
+        # entry, shared by its profile and the isomorphism grouping, and at
+        # most one more on two columns (_pair_key) when it is grouped;
+        # _closed_orbits makes calls of its own
         q = make()
         want = reference_inventory(q)
         orbits, seen = [], []
@@ -389,7 +396,15 @@ class TestEnumerationBackends:
         monkeypatch.setattr(structure, "_closed_orbits", closed_orbits)
         monkeypatch.setattr(structure, "_orbit_minima", minima)
         assert enumerate_subquandles(q) == want
-        assert sorted(seen) == sorted((int(o[0].sum()),) * 2 for o in orbits)
+        orders = {}  # each distinct subtable's order, by its bytes
+        for orbit in orbits:
+            idx = min(map(np.flatnonzero, orbit), key=list)
+            orders[np.searchsorted(idx, q.array[np.ix_(idx, idx)]).tobytes()] = idx.size
+        pairs = [shape for shape in seen if shape[0] > 2 and shape[1] == 2]
+        assert sorted(shape for shape in seen if shape not in pairs) == sorted(
+            (k, k) for k in orders.values()
+        )
+        assert len(pairs) <= sum(k > 2 for k in orders.values())
 
 
 class TestTrivialBuckets:
@@ -542,18 +557,19 @@ class TestGroupIsomorphic:
             rep = next((r for r in want if are_isomorphic(q, tables[r]) is not None), None)
             want.setdefault(i if rep is None else rep, []).append(i)
         assert want == {0: [0, 4, 6], 1: [1, 2], 3: [3, 5]}
-        # the cycle types come from the caller, and no invariant is recomputed
+        # the cycle types come from the caller, and no invariant is recomputed:
+        # the only orbit minima taken are each key's, on two columns
         types = [structure._cycle_lengths(q) for q in tables]
         seen = []
         real = structure._orbit_minima
 
         def spy(moves):
-            seen.append(moves)
+            seen.append(moves.shape)
             return real(moves)
 
         monkeypatch.setattr(structure, "_orbit_minima", spy)
         assert structure._group_isomorphic(tables, types, range(len(tables))) == want
-        assert seen == []
+        assert seen == [(7, 2)] * len(tables)
 
     # connected tables, several of each order.  In the class of cycle type
     # (2, 3) in S_5, the shortest generating cycles of R_0 give three
@@ -571,7 +587,7 @@ class TestGroupIsomorphic:
 
     @staticmethod
     def key(q):
-        return structure._pair_key(q.array.tolist())
+        return structure._pair_key(q.array)
 
     @staticmethod
     def draw_relabelled(data, bank):
@@ -691,6 +707,8 @@ class TestClosedOrbits:
         ids=lambda q: f"order{q.n}",
     )
     def test_merged_closures_match_close_mask(self, q, monkeypatch):
+        # named for the all-pairs kernel the library once ran, which lives
+        # on as the oracle reference_closure
         check_merged_growth(q, monkeypatch)
 
     @settings(max_examples=25, deadline=None)
@@ -718,7 +736,7 @@ def grown_calls(q: QuandleTable, monkeypatch) -> list[tuple]:
 
 def check_merged_growth(q: QuandleTable, monkeypatch) -> None:
     """Every merged closure of a growth candidate (S, e) is the closure of
-    S + e by the all-pairs kernel, and every merged partition is the orbit
+    S + e by the all-pairs fixpoint, and every merged partition is the orbit
     partition of the closure's columns."""
     tbl, n = q.array, q.n
     calls = grown_calls(q, monkeypatch)
@@ -729,8 +747,8 @@ def check_merged_growth(q: QuandleTable, monkeypatch) -> None:
         for k, e, closure, low in zip(which, labels, closures, merged):
             mask = seeds[k].copy()
             mask[e] = True
-            assert np.array_equal(closure, core._close_mask(tbl, mask))
-            assert np.array_equal(low, structure._orbit_minima(tbl[:, closure]))
+            assert np.array_equal(closure, reference_closure(tbl, mask))
+            assert np.array_equal(low, core._orbit_minima(tbl[:, closure]))
 
 
 class TestLargeOrderEnumeration:

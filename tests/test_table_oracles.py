@@ -31,6 +31,10 @@ the recursion that wrote the candidates one row at a time before it.
 enumeration went orbit by orbit: every closed set from the breadth-first
 growth of `reference_enumerate_sets`, each with its own subtable, profile and
 isomorphism test.  test_structure.py compares `enumerate_subquandles` with it.
+Its closures come from `reference_closure`, the all-pairs product fixpoint
+the library ran before it read every closure off an orbit partition; the
+tests hold the validator's generating walk, `subquandle_closure` and the
+enumeration's growth to it.
 
 `reference_affine_rows` and `reference_galois_rows` are the per-cell loops
 the affine constructions ran before they shared the array kernel
@@ -104,6 +108,7 @@ from quandlekit import (
     read_qdl,
     right_translation,
     shq_family,
+    subquandle_closure,
     subtable,
     translations,
     validate_quandle,
@@ -111,21 +116,21 @@ from quandlekit import (
     write_qdl,
 )
 from quandlekit import construct, core
-from quandlekit.core import _close_mask, _column_powers
+from quandlekit.core import _column_powers, _orbit_minima
 from quandlekit.limits import DEFAULT_TABLE_CAP, ENV_MAX_ORDER, resolve_cap
 from quandlekit.shq import CheckOutcome, _block_bounds
 from quandlekit.search import _candidate_count, _Searcher
-from quandlekit.structure import _orbit_minima
 from conftest import (
     ACCEPTED_PROFILES,
     SHQS,
     SMALL,
+    UNION,
     dihedral_quandle,
     relabel,
     relabelled,
     trivial_quandle,
 )
-from test_core import relabelled_rows
+from test_core import relabelled_rows, union_arrays
 
 
 def reference_orbits(q: QuandleTable) -> tuple[tuple[int, ...], ...]:
@@ -474,6 +479,17 @@ def reference_unary_survivors(searcher: _Searcher, level: int) -> np.ndarray:
     return np.concatenate(keep)
 
 
+def reference_closure(tbl: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The closure of the labels in a boolean mask, as a new mask: the
+    fixpoint of all-pairs products, every pair of the mask each round."""
+    mask = mask.copy()
+    while True:
+        idx = np.flatnonzero(mask)
+        mask[tbl[idx[:, None], idx].ravel()] = True
+        if np.count_nonzero(mask) == idx.size:
+            return mask
+
+
 def reference_pair_closures(tbl: np.ndarray):
     """Closure of every unordered pair, one boolean row per pair.
 
@@ -492,7 +508,7 @@ def reference_pair_closures(tbl: np.ndarray):
             if pair_id[x, y] >= 0:
                 continue
             mat[next_id, [x, y]] = True
-            _close_mask(tbl, mat[next_id])
+            mat[next_id] = reference_closure(tbl, mat[next_id])
             pair_id[x, y] = next_id
             next_id += 1
             queue.append((x, y))
@@ -543,7 +559,7 @@ def reference_enumerate_sets(tbl: np.ndarray) -> set[frozenset[int]]:
                 ids = pair_id[np.minimum(s_idx, e), np.maximum(s_idx, e)]
                 u = svec | mat[ids].any(axis=0)
                 if not u.all():
-                    u = _close_mask(tbl, u)
+                    u = reference_closure(tbl, u)
                 key = u.tobytes()
                 if key not in known:
                     known[key] = u
@@ -834,6 +850,68 @@ class TestPowerAndOrbitKernels:
                 groups.setdefault(low, []).append(y)
             column = QuandleTable._from_array(np.repeat(tbl[:, [x]], n, axis=1))
             assert tuple(map(tuple, groups.values())) == reference_orbits(column)
+
+
+def walk_closures(t: np.ndarray) -> tuple[list[int], list[tuple[np.ndarray, np.ndarray]]]:
+    """The labels the validator's generating walk yields on the quandle t,
+    driven as _distributive drives it (each label sent back with the labels
+    whose columns equal its own), and the (mask, closure) of every closure
+    the walk takes."""
+    taken = []
+    real = core._orbits_meeting
+
+    def spy(low, labels):
+        closure = real(low, labels)
+        taken.append((labels.copy(), closure.copy()))
+        return closure
+
+    gens = []
+    with patch.object(core, "_orbits_meeting", spy):
+        walk = core._generators(t)
+        g = next(walk)
+        try:
+            while True:
+                gens.append(g)
+                g = walk.send(np.flatnonzero((t == t[:, [g]]).all(axis=0)))
+        except StopIteration:
+            pass
+    return gens, taken
+
+
+class TestClosureKernel:
+    """Every closure in the library is read off an orbit partition: the
+    generating walk's and subquandle_closure's are held here to the
+    all-pairs fixpoint reference_closure (test_structure.py holds the
+    enumeration's growth to it)."""
+
+    @staticmethod
+    def check(t: np.ndarray, seeds) -> None:
+        gens, taken = walk_closures(t)
+        assert len(taken) == len(gens)
+        for g, (mask, closure) in zip(gens, taken):
+            assert mask[g]
+            assert np.array_equal(closure, reference_closure(t, mask))
+        # each label yielded is the smallest one outside the closure before it
+        assert gens == [0] + [int(np.argmin(c)) for _, c in taken[:-1]]
+        assert taken[-1][1].all()
+        q = QuandleTable._from_array(t)
+        for seed in seeds:
+            mask = np.zeros(len(t), dtype=bool)
+            mask[list(seed)] = True
+            want = np.flatnonzero(reference_closure(t, mask)) + 1
+            assert subquandle_closure(q, {x + 1 for x in seed}) == frozenset(want.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(union_arrays(max_order=24), st.data())
+    def test_union_arrays(self, t, data):
+        seed = st.sets(st.integers(0, len(t) - 1), min_size=1, max_size=3)
+        self.check(t, data.draw(st.lists(seed, max_size=4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled([*SMALL, UNION]), st.data())
+    def test_relabelled_tables(self, q, data):
+        seed = st.sets(st.integers(0, q.n - 1), min_size=1, max_size=3)
+        self.check(q.array, data.draw(st.lists(seed, max_size=4)))
 
 
 class LevelSearcher(_Searcher):
