@@ -18,7 +18,6 @@ import codecs
 import functools
 import io
 import itertools
-import os
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -313,7 +312,7 @@ def _orbits_meeting(low: np.ndarray, labels) -> np.ndarray:
     return met.take(low)
 
 
-def _generators(tbl: np.ndarray):
+def _generators(tbl: np.ndarray, closed: np.ndarray | None = None):
     """Greedy generating set of a table, 0-based, yielded lazily.
 
     Each label yielded is the smallest one outside the closure of those
@@ -324,17 +323,18 @@ def _generators(tbl: np.ndarray):
     G generated by the columns yielded, merging each new column into them
     (_merged_orbits); when those columns are automorphisms, the closure of
     the mask is the union of the G-orbits that meet it (see _distributive).
+    The mask is `closed`, updated in place, when the caller gives one.
     On a quandle the columns of a generating set also generate the inner
     automorphism group, since R_(a*b) = R_b R_a R_b^-1.
     """
     low = np.arange(tbl.shape[0], dtype=np.int32)[None]
-    closed = np.zeros(tbl.shape[0], dtype=bool)
+    closed = np.zeros(tbl.shape[0], dtype=bool) if closed is None else closed
     g = 0
     while True:
         same = yield g
         closed[g if same is None else same] = True
         low = _merged_orbits(low, tbl[:, g][None])
-        closed = _orbits_meeting(low[0], closed)
+        closed[:] = _orbits_meeting(low[0], closed)
         g = int(np.argmin(closed))
         if closed[g]:
             return
@@ -365,8 +365,10 @@ def _automorphism(tbl: np.ndarray, col: np.ndarray, moved: np.ndarray) -> bool:
     return np.array_equal(col.take(tbl[f, s]), tbl[f, img])
 
 
-def _distributive(tbl: np.ndarray) -> bool:
-    """Right distributivity of a table whose columns are bijections.
+def _distributive(tbl: np.ndarray) -> np.ndarray:
+    """Right distributivity of a table whose columns are bijections: the
+    labels, ascending, that the walk below has not settled when a check
+    fails, or none when the table is distributive.
 
     Checks that R_g is an automorphism for each g of the greedy generating
     walk of _generators, each before the next is found.  Distributivity at
@@ -378,19 +380,22 @@ def _distributive(tbl: np.ndarray) -> bool:
     = G.X: G.X holds X and is closed, as g(x) * h(y) = R_(h(y)) g(x) and
     R_(h(y)) = h R_y h^-1 lies in G; and each R_x maps closure(X) onto
     itself.  Each label h(y) of it has a conjugate column h R_y h^-1, an
-    automorphism too.  The table is distributive once the mask holds every
-    label: after one check on the trivial table, two on a connected affine
-    one, and two per component on a disjoint union of small connected
-    quandles, where each check is O(n) (_automorphism).
+    automorphism too.  So every label in the mask is settled: distributivity
+    holds at it, and only the columns outside the mask can fail.  The table
+    is distributive once the mask holds every label: after one check on the
+    trivial table, two on a connected affine one, and two per component on
+    a disjoint union of small connected quandles, where each check is O(n)
+    (_automorphism).
     """
     labels = np.arange(tbl.shape[0])
-    walk = _generators(tbl)
+    settled = np.zeros(tbl.shape[0], dtype=bool)
+    walk = _generators(tbl, settled)
     g = next(walk)
     while True:
         col = tbl[:, g]
         moved = col != labels
         if not _automorphism(tbl, col, moved):
-            return False
+            return np.flatnonzero(~settled)
         # the columns equal to R_g, among those that agree with it on the
         # first point it moves
         r = np.argmax(moved)
@@ -400,19 +405,22 @@ def _distributive(tbl: np.ndarray) -> bool:
         try:
             g = walk.send(same)
         except StopIteration:
-            return True
+            return labels[:0]
 
 
-def _first_mismatch(tbl: np.ndarray) -> tuple[int, int, int] | None:
-    """Lexicographically first failing (i, j, k) of right distributivity, 0-based.
+def _first_mismatch(tbl: np.ndarray, cols: np.ndarray) -> tuple[int, int, int] | None:
+    """Lexicographically first failing (i, j, k) of right distributivity,
+    0-based, among the k of cols (ascending): the labels _distributive left
+    unsettled, or every label for the full scan.
 
     Row i compares (i*j)*k = t[t[i]] with (i*k)*(j*k) over all (j, k) at
-    once and stops at the first row with a mismatch.
+    once and stops at the first row with a mismatch: O(n |cols|) a row.
     """
+    tk = tbl[:, cols]
     for i, ti in enumerate(tbl):
-        bad = np.argwhere(tbl[ti] != tbl[ti[None, :], tbl])
+        bad = np.argwhere(tk[ti] != tbl[ti[cols][None, :], tk])
         if bad.size:
-            return i, int(bad[0, 0]), int(bad[0, 1])
+            return i, int(bad[0, 0]), int(cols[bad[0, 1]])
     return None
 
 
@@ -431,8 +439,9 @@ def validate_quandle(rows: Sequence[Sequence[int]]) -> ValidationResult:
     Scan order is idempotency over i, then column bijectivity over j, then
     distributivity over (i, j, k) lexicographically.  Distributivity is
     decided on a generating set (_distributive); only a failing table pays
-    for the full scan that finds its first witness.  rows may also be an
-    integer numpy array, which is read without a copy.
+    for the scan that finds its first witness, over the columns the walk
+    left unsettled.  rows may also be an integer numpy array, which is
+    read without a copy.
     """
     return _validated(rows)[0]
 
@@ -464,8 +473,9 @@ def _validated(rows: Sequence[Sequence[int]]) -> tuple[ValidationResult, np.ndar
     bad = np.flatnonzero((np.sort(t, axis=0) != labels[:, None]).any(axis=0))
     if bad.size:
         return ValidationResult(False, "RightInvertibilityViolation", (int(bad[0]) + 1,)), None
-    if not _distributive(t):
-        i, j, k = _first_mismatch(t)
+    unsettled = _distributive(t)
+    if unsettled.size:
+        i, j, k = _first_mismatch(t, unsettled)
         return ValidationResult(False, "DistributivityViolation", (i + 1, j + 1, k + 1)), None
     return ValidationResult(True, None, (), n), t
 
@@ -556,15 +566,17 @@ def from_translations(perms: Sequence[Permutation]) -> QuandleTable:
     The list yields a quandle exactly when R_(j*i) = R_i R_j R_i^-1 for all
     i, j and each R_i fixes i.  The conjugation condition is checked first:
     on bijective columns it is distributivity, decided by _distributive, and
-    only a failing list is scanned in (i, j) order for the first witness.
+    only a failing list is scanned in (i, j) order for the first witness,
+    over the i whose columns the walk left unsettled.
     """
     n = len(perms)
     if n == 0 or any(p.n != n for p in perms):
         raise ParamOutOfRange("need n permutations of degree n")
     tbl = np.column_stack([p.image for p in perms]) - 1  # column i - 1 is R_i
-    if not _distributive(tbl):
+    unsettled = _distributive(tbl)
+    if unsettled.size:
         inv = np.argsort(tbl, axis=0)
-        for i in range(n):
+        for i in unsettled.tolist():
             # column j: R_(j*i) against R_i R_j R_i^-1, compared at every point
             bad = np.flatnonzero((tbl[:, tbl[:, i]] != tbl[tbl[inv[:, i]], i]).any(axis=0))
             if bad.size:
@@ -587,17 +599,10 @@ def _decimal_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split()]
 
 
-# where only lines are counted, the bytes are taken this many at a time
-_CHUNK = 1 << 18
-
-# the body is checked and converted in line-aligned blocks of at least this
-# many bytes, so the temporaries of _scan stay small next to the table
-_BLOCK_BYTES = 1 << 16
-
-# a block that runs this many bytes past its start, to end a long line (a
-# comment, a run of spaces), goes to the scalar path instead: the masks of
-# _scan take many times the size of the block
-_LINE_BYTES = 1 << 20
+# the body is read this many bytes at a time, and the array pass converts
+# the complete lines of each read, so the temporaries of _scan stay small
+# next to the table (256 KiB reads made read_qdl about 25 % slower)
+_CHUNK = 1 << 16
 
 # the characters at which str.splitlines ends a line
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -626,24 +631,23 @@ def _order(head: str, lineno: int) -> int:
     return n
 
 
-def _count_rows(chunks, text: str, lineno: int, n: int, errors: str,
-                final: bool = True) -> tuple[int, int, int]:
-    """Decode text and then the byte chunks, one at a time, and count the
-    rows in them: the lines that are neither blank nor comments.
+def _line_path(chunks, lineno: int, n: int, keep: int, rows: int,
+               last: int, errors: str) -> tuple[int, int, int, list[tuple[int, str]]]:
+    """Decode the byte chunks, one at a time, to the end of the file, and
+    count the rows in them: the lines that are neither blank nor comments.
 
-    lineno lines precede text.  Returns the count, the line of the last row
-    (lineno when there is none) and the line of row n + 1 (0 when there is
-    none).  A bad byte raises the ParseError that read_qdl gives for it.
-    Only a chunk is held at a time, whatever the file's size or line
-    lengths.  When not final, the chunks stop inside the file: an
-    unfinished UTF-8 sequence at their end is no error, and the open line
-    counts as a row once its first character makes it one.
+    The chunks start a line; lineno lines and `rows` rows, the last on line
+    `last`, precede them.  Returns the count of rows in all, the line of
+    the last row, the line of row n + 1 (0 when there is none), and the
+    line and stripped text of each row up to row `keep`.  A bad byte
+    raises the ParseError that read_qdl gives for it.  Only a chunk and
+    the rows kept are held, whatever the file's size or line lengths.
     """
     decoder = codecs.getincrementaldecoder("utf-8")(errors)
-    rows, last, extra = 0, lineno, 0
+    extra, kept, row = 0, [], []
     kind = ""  # the first non-space character of the open line; "" while blank
-    held = text
-    for chunk in itertools.chain(chunks, [b""] if final else []):
+    held = ""
+    for chunk in itertools.chain(chunks, [b""]):
         try:
             text = held + decoder.decode(chunk, final=not chunk)
         except UnicodeDecodeError as exc:
@@ -652,25 +656,23 @@ def _count_rows(chunks, text: str, lineno: int, n: int, errors: str,
         text = text[: len(text) - len(held)] if chunk else text + "\n"  # the last line ends
         for line in text.splitlines(keepends=True):
             kind = kind or line.lstrip()[:1]
+            if kind and kind != "#" and rows < keep:  # the open line is a row to keep
+                row.append(line)
             if line[-1] in _BREAKS:
                 lineno += 1
                 if kind and kind != "#":
                     rows += 1
                     last = lineno
                     extra = extra or (lineno if rows == n + 1 else 0)
+                    if row:
+                        kept.append((lineno, "".join(row).strip()))
+                        row = []
                 kind = ""
-    if not final and kind and kind != "#":
-        rows += 1
-    return rows, last, extra
-
-
-def _pieces(data: bytes):
-    """data a chunk at a time."""
-    return (data[i : i + _CHUNK] for i in range(0, len(data), _CHUNK))
+    return rows, last, extra, kept
 
 
 def _scan(buf: np.ndarray, n: int, room: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Check and convert a block of body bytes that starts a line.
+    """Check and convert the complete lines of one read, which starts a line.
 
     One set of byte masks gives the token starts and ends and the token
     count of each b"\n"-ended line.  A line is flagged for a byte other
@@ -678,15 +680,15 @@ def _scan(buf: np.ndarray, n: int, room: int) -> tuple[np.ndarray, np.ndarray, i
     10 or more digits; for a token count other than 0 or n; and as row
     room + 1.  Lines of no tokens are blank and skipped.  The mask of other
     bytes is built only when the digits, spaces and b"\n" do not fill the
-    block, and the 10-digit runs are looked for only when the longest
+    buffer, and the 10-digit runs are looked for only when the longest
     token has 10 digits or more.
 
     Returns (values, rows, lines, stop): the entries of the rows before
     the first flagged line, n to a row, read back a place at a time from
     each token's last digit; the index of each such row's line; and the
     number of lines and of bytes before the first flagged line, or in the
-    whole block when none is flagged.  A flagged line need not be an error
-    ('-1' is not): the caller reads it on the scalar line path.
+    whole buffer when none is flagged.  A flagged line need not be an error
+    ('-1' is not): the caller reads it on the line path.
     """
     digits = buf - np.uint8(48)
     digit = digits < 10  # uint8 wraps below '0'
@@ -719,87 +721,29 @@ def _scan(buf: np.ndarray, n: int, room: int) -> tuple[np.ndarray, np.ndarray, i
     values = digits[last].astype(np.int32)
     for p in range(1, min(longest, 9)):  # the rows kept have no 10-digit token
         # a token of p digits or fewer reads a byte before it (or at the
-        # block's end) and multiplies it by 0; the dtype keeps the product
+        # buffer's end) and multiplies it by 0; the dtype keeps the product
         # int32 under NumPy 1.x too, where uint8 * np.int32(100) is uint8
         last -= 1
         values += np.multiply(digits[last], lens > p, dtype=np.int32) * np.int32(10**p)
     return values.reshape(-1, n), rows, lines, stop
 
 
-def _scalar_tail(tail: bytes, lineno: int, n: int, done: np.ndarray, last: int,
-                 errors: str) -> QuandleTable:
-    """The scalar line path, from the first flagged line to the end of the
-    body, which lineno lines precede: it raises the ParseError of the first
-    faulty line, or gives the rows converted before it (done, the last on
-    line `last`) and its own rows to QuandleTable.from_rows, which finds
-    the validator's witness."""
-    try:
-        text = tail.decode("utf-8", errors)
-    except UnicodeDecodeError as exc:
-        raise _utf8_error(exc, lineno) from None
-    data = []
-    for lineno, line in enumerate(text.splitlines(), start=lineno + 1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            data.append((lineno, stripped))
-    count = len(done) + len(data)
-    if count < n:
-        raise ParseError(f"expected {n} rows, file ends after {count}", data[-1][0] if data else last)
-    if count > n:
-        raise ParseError("unexpected content after table", data[n - len(done)][0])
-    rows = []
-    for lineno, line in data:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
-        try:
-            rows.append(_decimal_ints(line))
-        except ValueError:
-            raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
-    return QuandleTable.from_rows(done.tolist() + rows)
-
-
-def _read_body(body: bytes, n: int, lineno: int, errors: str) -> QuandleTable:
-    """The n rows of body, which starts after the order line, line lineno.
-
-    _scan checks and converts it a block at a time.  From the first line it
-    flags, or from a block longer than _LINE_BYTES, the rest goes to
-    _scalar_tail, the one error reporter.  A body of fewer than n lines goes
-    there whole, before any block is converted.
-    """
-    buf = np.frombuffer(body, dtype=np.uint8)
-    lines = sum(np.count_nonzero(buf[i : i + _CHUNK] == 10) for i in range(0, buf.size, _CHUNK))
-    flagged = lines + 1 < n  # fewer lines than rows: convert no block
-    table = np.empty((0 if flagged else n, n), dtype=np.int32)
-    done, last, pos = 0, lineno, 0
-    while not flagged and pos < buf.size:
-        end = body.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or buf.size
-        if end - pos > _LINE_BYTES:
-            break
-        values, rows, lines, stop = _scan(buf[pos:end], n, n - done)
-        table[done : done + len(values)] = values
-        done += len(values)
-        if rows.size:
-            last = lineno + int(rows[-1]) + 1
-        lineno += lines
-        flagged = pos + stop < end
-        pos += stop
-    if pos == buf.size and done == n:
-        return QuandleTable(table)
-    return _scalar_tail(body[pos:], lineno, n, table[:done], last, errors)
-
-
-def _parse(f, errors: str, size: int) -> QuandleTable:
-    """The table in the .qdl bytes of the binary file f, of at most `size`
-    bytes (-1: unknown), decoded as UTF-8 with the given error handler.
+def _parse(f, errors: str) -> QuandleTable:
+    """The table in the .qdl bytes of the binary file f, decoded as UTF-8
+    with the given error handler.
 
     The header is read first, a line at a time: comment and blank lines,
-    then the order line, then the cap check.  At or below the cap the rest
-    goes to _read_body as bytes, when it is no longer than n + 1 rows of
-    10-digit tokens can be, or when its first so many bytes hold no row
-    n + 1.  An order above the cap, a bad order line, or a row n + 1
-    within those bytes is refused after a count of the rows that holds one
-    chunk at a time, so that the error is the one the whole file gives.
+    then the order line, then the cap check.  At or below the cap, the
+    body goes through one loop of _CHUNK-byte reads: _scan checks and
+    converts the complete lines of each read into the table, up to the
+    first line it flags, or until a line runs longer than one read.  The
+    rest of the file goes to _line_path, which also takes the whole body
+    after an order above the cap or a bad order line.  It counts the
+    rows and keeps those up to row n.  The errors then come in the order a
+    line-by-line read of the whole file gives them: a bad byte, the order
+    line, the row count, the cap, each kept row's entries, and last
+    QuandleTable's witness.  Only the header line, the table, one read and
+    the rows kept are held.
     """
     lineno = 0
     head = ""
@@ -814,38 +758,56 @@ def _parse(f, errors: str, size: int) -> QuandleTable:
         while lines and (not head or head.startswith("#")):
             head = lines.pop(0).strip()
             lineno += 1
-    rest = "".join(lines)  # lines the order line shares a b"\n"-line with
+    at = lineno
     try:
-        n, error = _order(head, lineno), None
+        n, error = _order(head, at), None
     except ParseError as exc:
         n, error = 0, exc
     try:
         cap = resolve_cap(None, DEFAULT_TABLE_CAP)
     except ParamOutOfRange:  # raised again after the row count, as before
         cap = 0
+    keep = n if error is None and n <= cap else 0
+    table = np.empty((keep, keep), dtype=np.int32)
+    done, last = 0, at
+    # the lines the order line shares a b"\n"-line with, then the reads
+    data = "".join(lines).encode("utf-8", errors)
     chunks = iter(functools.partial(f.read, _CHUNK), b"")
-    if error is None and n <= cap:
-        # n + 1 rows of n 10-digit tokens and separators, CRLF-ended, and a chunk
-        limit = (n + 1) * (11 * n + 2) + _CHUNK
-        # one read of a known size: read() after readline goes by pieces and
-        # took about 10 times as long
-        data = f.read(limit + 1 if size < 0 else min(size, limit + 1))
-        if len(data) > limit and _count_rows(_pieces(data), rest, lineno, n, errors,
-                                             final=False)[0] > n:
-            chunks = itertools.chain(_pieces(data), chunks)
-        else:
-            if len(data) > limit:  # long comments, blank lines or rows, but no row n + 1
-                data += f.read()
-            return _read_body(rest.encode("utf-8", errors) + data, n, lineno, errors)
-    rows, last, extra = _count_rows(chunks, rest, lineno, n, errors)
+    for chunk in chunks if keep else ():
+        data += chunk
+        end = data.rfind(b"\n") + 1
+        if not end:  # a line longer than one read
+            break
+        values, rows, passed, stop = _scan(np.frombuffer(data, np.uint8, end), n, n - done)
+        table[done : done + len(values)] = values
+        done += len(values)
+        if rows.size:
+            last = lineno + int(rows[-1]) + 1
+        lineno += passed
+        data = data[stop:]
+        if stop < end:  # a flagged line
+            break
+    count, last, extra, kept = _line_path(itertools.chain([data] if data else [], chunks),
+                                          lineno, n, keep, done, last, errors)
     if error is not None:
         raise error
-    if rows < n:
-        raise ParseError(f"expected {n} rows, file ends after {rows}", last)
-    if rows > n:
+    if count < n:
+        raise ParseError(f"expected {n} rows, file ends after {count}", last)
+    if count > n:
         raise ParseError("unexpected content after table", extra)
     cap = resolve_cap(None, DEFAULT_TABLE_CAP)
-    raise ParseError(f"order {n} exceeds the cap {cap} ({ENV_MAX_ORDER})", lineno)
+    if n > cap:
+        raise ParseError(f"order {n} exceeds the cap {cap} ({ENV_MAX_ORDER})", at)
+    entries = []
+    for lineno, line in kept:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ParseError(f"expected {n} entries, found {len(tokens)}", lineno)
+        try:
+            entries.append(_decimal_ints(line))
+        except ValueError:
+            raise ParseError(f"invalid integer in row: {line!r}", lineno) from None
+    return QuandleTable(table[:done].tolist() + entries if entries else table)
 
 
 def parse_qdl(text: str) -> QuandleTable:
@@ -854,11 +816,11 @@ def parse_qdl(text: str) -> QuandleTable:
     Integers are ASCII decimal, optionally negative: no '+', no '_', no
     other digit scripts.  An order above the table cap (2048, or
     QUANDLEKIT_MAX_ORDER) is refused before any row is converted.  The text
-    goes through the byte reader of read_qdl (_parse).
+    is encoded and goes through read_qdl's reader (_parse), a _CHUNK of
+    bytes at a time.
     """
     # lone surrogates make the round trip too, so no decoding error is raised
-    data = text.encode("utf-8", "surrogatepass")
-    return _parse(io.BytesIO(data), "surrogatepass", len(data))
+    return _parse(io.BytesIO(text.encode("utf-8", "surrogatepass")), "surrogatepass")
 
 
 def format_qdl(q: QuandleTable, comments: Iterable[str] = ()) -> str:
@@ -882,10 +844,11 @@ def format_qdl(q: QuandleTable, comments: Iterable[str] = ()) -> str:
 
 def read_qdl(path: str | Path) -> QuandleTable:
     """Parse a .qdl file, read as UTF-8; undecodable bytes are a ParseError
-    at the line of the first of them.  The header is read first, so a file
-    whose order is above the cap is refused without being held (_parse)."""
+    at the line of the first of them.  The header is read first, then the
+    body a _CHUNK of bytes at a time, so no file is held whole beyond its
+    header line and the rows of the table (_parse)."""
     with open(path, "rb") as f:
-        return _parse(f, "strict", os.fstat(f.fileno()).st_size or -1)  # 0 for a pipe
+        return _parse(f, "strict")
 
 
 def write_qdl(q: QuandleTable, path: str | Path, comments: Iterable[str] = ()) -> None:

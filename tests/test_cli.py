@@ -628,22 +628,22 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stdout == "valid quandle of order 9\n"
 
-    @pytest.mark.parametrize("head, rows, out, over_mb", [
-        (b"3000\n", 3000, "line 1: order 3000 exceeds the cap 2048 (QUANDLEKIT_MAX_ORDER)", 4),
-        (b"3\n", 3000, "line 5: unexpected content after table", 4),
-        (b"3\n1 1 1\n2 2 2\n3 3 3\n", 1, "line 5: unexpected content after table", 4),
-        (b"3\n1 1 1\n2 2 2\n3 3 3\n#", 1, None, 72),
+    @pytest.mark.parametrize("head, rows, out, tail", [
+        (b"3000\n", 3000, "line 1: order 3000 exceeds the cap 2048 (QUANDLEKIT_MAX_ORDER)", b""),
+        (b"3\n", 3000, "line 5: unexpected content after table", b""),
+        (b"3\n1 1 1\n2 2 2\n3 3 3\n", 1, "line 5: unexpected content after table", b""),
+        (b"3\n1 1 1\n2 2 2\n3 3 3\n#", 1, None, b""),
+        (b"3\n#", 1, None, b"1 1 1\n2 2 2\n3 3 3\n"),
     ])
-    def test_hostile_file_refused_at_bounded_memory(self, tmp_path, head, rows, out, over_mb):
+    def test_hostile_file_refused_at_bounded_memory(self, tmp_path, head, rows, out, tail):
         # about 18 MB of rows, 3,000 entries each, after an order above the
-        # cap or after row 3 of an order-3 table; or one 18 MB row of 9
-        # million entries: the rows are counted a chunk at a time and never
-        # held, so the refusal peaks within a few MB of validating an order-3
-        # file.  A valid file whose 18 MB line is a comment is read whole, but
-        # goes to the line path, whose peak is a small multiple of the file's
-        # size; the array pass would take many times it.  The peak is the
-        # child's VmHWM, which starts afresh at exec; its ru_maxrss would keep
-        # this process's peak from the fork.
+        # cap or after row 3 of an order-3 table; or one 18 MB line of 9
+        # million entries, as row 4 or as a comment after the rows or before
+        # them.  The body is read a chunk at a time, and only the rows up to
+        # row n are kept, so each file peaks within a few MB of validating
+        # an order-3 file.  The peak is the child's VmHWM, which starts
+        # afresh at exec; its ru_maxrss would keep this process's peak from
+        # the fork.
         if not os.path.exists("/proc/self/status"):
             pytest.skip("needs /proc/self/status for the peak RSS")
         big = tmp_path / "big.qdl"
@@ -652,6 +652,7 @@ class TestSubprocess:
             f.write(head)
             for _ in range(rows):
                 f.write(row)
+            f.write(tail)
         del row
         probe = (
             "import sys\n"
@@ -673,4 +674,4 @@ class TestSubprocess:
         assert (rc, err) == ((0, "") if out is None else (2, f"error: {out}\n"))
         rc, small_mb, err = validate(TRIVIAL)
         assert (rc, err) == (0, "")
-        assert big_mb < small_mb + over_mb, (big_mb, small_mb)
+        assert big_mb < small_mb + 4, (big_mb, small_mb)

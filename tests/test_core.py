@@ -250,8 +250,8 @@ class TestValidateQuandle:
         assert (result.error, result.witness) == reference_first_failure(rows)
 
     def test_valid_tables_skip_the_witness_scan(self, monkeypatch):
-        def scan(tbl):
-            raise AssertionError("full witness scan on a valid table")
+        def scan(tbl, cols):
+            raise AssertionError("witness scan on a valid table")
 
         monkeypatch.setattr(core, "_first_mismatch", scan)
         rng = random.Random(343)
@@ -373,7 +373,12 @@ class TestDistributivityKernel:
     @settings(max_examples=300, deadline=None)
     @given(bijective_tables())
     def test_matches_full_scan(self, t):
-        assert core._distributive(t) == (core._first_mismatch(t) is None)
+        # only the labels the walk leaves unsettled can fail, so the scan
+        # over their columns finds the full scan's witness
+        unsettled = core._distributive(t)
+        full = core._first_mismatch(t, np.arange(len(t)))
+        assert (unsettled.size == 0) == (full is None)
+        assert core._first_mismatch(t, unsettled) == full
         rows = (t + 1).tolist()
         result = validate_quandle(rows)
         assert (result.error, result.witness) == reference_first_failure(rows)
@@ -411,8 +416,23 @@ class TestDistributivityKernel:
         calls = []
         real = core._automorphism
         monkeypatch.setattr(core, "_automorphism", lambda *a: calls.append(1) or real(*a))
-        assert core._distributive(t)
+        assert core._distributive(t).size == 0
         assert len(calls) == checks
+
+    def test_witness_scan_reads_the_unsettled_columns(self, monkeypatch):
+        # a swap in column 299 of the last of 100 copies of the order-3
+        # quandle: the walk settles the 99 copies before it, so the scan
+        # for the first witness reads only the last copy's columns
+        t = disjoint(dihedral_quandle(3), 100)
+        t[[297, 299], 298] = t[[299, 297], 298]
+        scanned = []
+        real = core._first_mismatch
+        monkeypatch.setattr(core, "_first_mismatch",
+                            lambda tbl, cols: scanned.append(cols.tolist()) or real(tbl, cols))
+        rows = (t + 1).tolist()
+        result = validate_quandle(rows)
+        assert (result.error, result.witness) == reference_first_failure(rows)
+        assert len(scanned) == 1 and set(scanned[0]) <= {297, 298, 299}
 
 
 def disjoint(q: QuandleTable, copies: int) -> np.ndarray:

@@ -1485,21 +1485,19 @@ def qdl_files(draw):
 
 class TestQdlOracles:
     @settings(max_examples=400, deadline=None)
-    @given(qdl_files(), st.sampled_from([1, 7, 40, 1 << 16]), st.sampled_from([1, 5, 1 << 16]),
-           st.sampled_from([30, 1 << 20]), st.booleans())
-    def test_read_matches_reference(self, tmp_path_factory, case, block_bytes, chunk,
-                                    line_bytes, capped):
-        # Blocks of 7 and 40 bytes end inside a row more often than not, so the
-        # pass must carry on at the next line; chunks of 1 and 5 bytes split
-        # UTF-8 sequences and CRLF pairs in the count above the cap, which
-        # capped=True reaches by a cap one below the order; with line_bytes 30
-        # a long row or comment sends the rest of the body to the line path.
+    @given(qdl_files(), st.sampled_from([1, 5, 7, 40, 1 << 16]), st.booleans())
+    def test_read_matches_reference(self, tmp_path_factory, case, chunk, capped):
+        # Reads of 7 and 40 bytes end inside a row more often than not, so the
+        # array pass must carry on at the next read; reads of 1 and 5 bytes
+        # split UTF-8 sequences and CRLF pairs on the line path, which also
+        # counts the rows above the cap (capped=True: a cap one below the
+        # order); a row or comment longer than a read sends the rest of the
+        # body to the line path.
         q, raw, mutated = case
         path = tmp_path_factory.mktemp("qdl") / "t.qdl"
         path.write_bytes(raw)
         env = {ENV_MAX_ORDER: str(q.n - 1)} if capped and q.n > 1 else {}
-        with patch.dict(os.environ, env), patch.object(core, "_BLOCK_BYTES", block_bytes), \
-                patch.object(core, "_CHUNK", chunk), patch.object(core, "_LINE_BYTES", line_bytes):
+        with patch.dict(os.environ, env), patch.object(core, "_CHUNK", chunk):
             want = outcome(reference_read_qdl, raw)
             assert outcome(read_qdl, path) == want
             try:
@@ -1517,7 +1515,7 @@ class TestQdlOracles:
         "# \u2217\r\n3\r\n1 1 1\r\n2 \u2028 2\r\n\r\n".encode(),
         b"3\n1 1 1\n\n# c\n2 2 2\n3 3 3\n4\r",
         b"3\n\n", b"3", b"x\n\xff", b"\n \n", b"3\n1 1 1\n\xc3\xa9\n",
-        # longer than n + 1 rows can be: row n + 1 in the bytes read, or not
+        # lines longer than a read: a comment, spaces, rows past row n, a bad byte
         b"1\n1\n#" + b"c" * 60 + b"\n", b"1\n" + b" " * 60 + b"1\n", b"1\n1\n1\n" + b"x" * 60,
         b"1\n1\n" + b"2 " * 40 + b"\xff", b"1\n1\n" + "\u00e9".encode() * 40,
         b"1\n1\n\n" + b"\r" * 60 + b"1",
@@ -1537,10 +1535,10 @@ class TestQdlOracles:
 
     @settings(max_examples=300, deadline=None)
     @given(qdl_texts(), st.sampled_from([1, 20, 100, 1 << 16]))
-    def test_parse_matches_reference(self, case, block_bytes):
-        # small blocks put the flagged line in a later block than the first
+    def test_parse_matches_reference(self, case, chunk):
+        # small reads put the flagged line in a later read than the first
         q, text, mutated = case
-        with patch.object(core, "_BLOCK_BYTES", block_bytes):
+        with patch.object(core, "_CHUNK", chunk):
             got = outcome(parse_qdl, text)
         assert got == outcome(reference_parse_qdl, text)
         if not mutated:
@@ -1557,7 +1555,7 @@ class TestQdlOracles:
         (f"2\n1 1\n2 {2**32 + 2}\n", ("EntryOutOfRange", (2, 2))),
         # the gates of _scan: a 9-digit token is read in the array pass; a
         # tab, a CRLF or a lone "\r" needs the mask of other bytes; in
-        # one-line blocks the 10-digit run is in the second block only
+        # reads of a line or two the 10-digit run is in a later read only
         ("2\n1 1\n2 000000002\n", ("valid", 2)),
         ("2\n1\t1\n2\t 2\n", ("valid", 2)),
         ("2\r\n1 1\r\n2 2\r\n", ("valid", 2)),
@@ -1565,11 +1563,12 @@ class TestQdlOracles:
         ("2\n1 1\n2 0000000002\n", ("valid", 2)),
     ])
     def test_flagged_lines(self, text, expected):
-        # a flagged line is either the error or read by the scalar check;
-        # with one-line blocks each line meets the gates on its own
+        # a flagged line is either the error or read on the line path; with
+        # reads just longer than the longest line, each read meets the gates
+        # a line or two at a time
         got = outcome(parse_qdl, text)
         assert got == outcome(reference_parse_qdl, text)
-        with patch.object(core, "_BLOCK_BYTES", 1):
+        with patch.object(core, "_CHUNK", max(map(len, text.encode().splitlines(True))) + 1):
             assert outcome(parse_qdl, text) == got
         if isinstance(got, QuandleTable):
             assert ("valid", got.n) == expected
